@@ -288,6 +288,17 @@ struct SimdBenchSection {
   std::vector<SpeedupRule> rules;  // derived at write time, like the rest
 };
 
+/// The CRC-32 suite's BENCH_micro.json section: checksum throughput of the
+/// dispatched kernel vs the forced slicing-by-8 fallback over block-sized
+/// buffers. `kernel` is simd::CrcKernelName at run time, so the regression
+/// guard compares (and floors) the ratio only between runs of one kernel.
+struct Crc32BenchSection {
+  std::string kernel;
+  size_t buffer_bytes = 0;
+  double forced_scalar_mb_per_s = 0;
+  double dispatched_mb_per_s = 0;
+};
+
 /// The dual-pricing suite's BENCH_micro.json section: warm knapsack node
 /// re-solves with steepest-edge pricing + bound flips vs the
 /// most-violated-row baseline. Pivot counts are deterministic for a fixed
@@ -317,7 +328,8 @@ inline Status WriteBenchMicroJson(
     const std::vector<MicroMeasurement>& solver_entries = {},
     size_t solver_rows = 0, const ParallelBenchSection* parallel = nullptr,
     const SimdBenchSection* simd = nullptr,
-    const DsePricingSection* dse = nullptr) {
+    const DsePricingSection* dse = nullptr,
+    const Crc32BenchSection* crc32 = nullptr) {
   std::vector<MicroSpeedup> speedups =
       DeriveSpeedups(rules, entries, solver_entries);
   std::ofstream os(path);
@@ -390,6 +402,25 @@ inline Status WriteBenchMicroJson(
          << "\": " << FormatDouble(simd_speedups[i].factor, 2)
          << (i + 1 < simd_speedups.size() ? "," : "") << "\n";
     }
+    os << "    }\n";
+    os << "  },\n";
+  }
+  if (crc32 != nullptr) {
+    os << "  \"crc32\": {\n";
+    os << "    \"level\": \"" << crc32->kernel << "\",\n";
+    os << "    \"buffer_bytes\": " << crc32->buffer_bytes << ",\n";
+    os << "    \"unit\": \"mb_per_s\",\n";
+    os << "    \"entries\": {\n";
+    os << "      \"crc32_forced_scalar\": "
+       << FormatDouble(crc32->forced_scalar_mb_per_s, 6) << ",\n";
+    os << "      \"crc32_dispatched\": "
+       << FormatDouble(crc32->dispatched_mb_per_s, 6) << "\n";
+    os << "    },\n";
+    os << "    \"speedup\": {\n";
+    os << "      \"crc32_dispatched_vs_scalar\": "
+       << FormatDouble(
+              crc32->dispatched_mb_per_s / crc32->forced_scalar_mb_per_s, 3)
+       << "\n";
     os << "    }\n";
     os << "  },\n";
   }

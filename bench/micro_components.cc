@@ -16,6 +16,7 @@
 #include <random>
 
 #include "bench/bench_common.h"
+#include "common/crc32.h"
 #include "common/simd.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
@@ -933,6 +934,57 @@ void RunSimdMicroSuite(size_t rows, SimdBenchSection* out) {
   printer.Print(std::cout);
 }
 
+/// CRC-32 suite, the "crc32" BENCH_micro.json section: checksum
+/// throughput over 128 KiB buffers (the size of a decoded double block,
+/// the order of a stored one) with the dispatched kernel vs forced onto
+/// the slicing-by-8 fallback. Both modes must agree on every checksum.
+void RunCrc32MicroSuite(Crc32BenchSection* out) {
+  PAQL_CHECK_MSG(!simd::ScalarForced(),
+                 "crc32 suite started with scalar dispatch forced");
+  constexpr size_t kBufferBytes = 128 * 1024;
+  constexpr int kBuffers = 64;  // 8 MiB per pass, past the L2
+  constexpr int kReps = 7;
+  std::mt19937_64 rng(20261018);
+  std::vector<unsigned char> bytes(kBufferBytes * kBuffers);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng());
+  auto checksum_all = [&] {
+    uint32_t acc = 0;
+    for (int b = 0; b < kBuffers; ++b) {
+      acc ^= Crc32(bytes.data() + b * kBufferBytes, kBufferBytes);
+    }
+    return acc;
+  };
+  auto mb_per_s = [&] {
+    const double ns_per_byte = BestNsPerRow(bytes.size(), kReps, [&] {
+      benchmark::DoNotOptimize(checksum_all());
+    });
+    return 1e3 / ns_per_byte;
+  };
+  simd::ForceScalar(true);
+  const uint32_t scalar_sum = checksum_all();
+  out->forced_scalar_mb_per_s = mb_per_s();
+  simd::ForceScalar(false);
+  const uint32_t dispatched_sum = checksum_all();
+  out->dispatched_mb_per_s = mb_per_s();
+  PAQL_CHECK_MSG(scalar_sum == dispatched_sum,
+                 "CRC-32 kernels diverged: " << dispatched_sum << " vs "
+                                             << scalar_sum);
+  out->kernel = simd::CrcKernelName(simd::ActiveCrcKernel());
+  out->buffer_bytes = kBufferBytes;
+
+  TablePrinter printer({"crc32 kernel", "MB/s", "speedup"});
+  printer.AddRow({"slice8 (forced scalar)",
+                  FormatDouble(out->forced_scalar_mb_per_s, 5), "1.00"});
+  printer.AddRow({out->kernel + " (dispatched)",
+                  FormatDouble(out->dispatched_mb_per_s, 5),
+                  FormatDouble(out->dispatched_mb_per_s /
+                                   out->forced_scalar_mb_per_s,
+                               3)});
+  std::cout << "== CRC-32 over " << kBufferBytes / 1024
+            << " KiB buffers ==\n";
+  printer.Print(std::cout);
+}
+
 /// Dual-pricing suite, the "dse_pricing" BENCH_micro.json section: warm
 /// node re-solves on a boxed knapsack LP — overload the capacity by fixing
 /// a batch of columns to 1, re-optimize from the root basis with the dual
@@ -1218,6 +1270,8 @@ int main(int argc, char** argv) {
   paql::bench::RunSimdMicroSuite(1000000, &simd_section);
   paql::bench::DsePricingSection dse_section;
   paql::bench::RunDsePricingMicroSuite(&solver_entries, &rules, &dse_section);
+  paql::bench::Crc32BenchSection crc32_section;
+  paql::bench::RunCrc32MicroSuite(&crc32_section);
   // The parallel scan keeps its 1M rows even under --quick, like the
   // pricing LP: the 1-vs-N ratio is the acceptance number and morsel
   // overheads only amortize at scale.
@@ -1225,7 +1279,7 @@ int main(int argc, char** argv) {
   paql::bench::RunParallelMicroSuite(1000000, &parallel);
   paql::Status written = paql::bench::WriteBenchMicroJson(
       "BENCH_micro.json", pipeline_rows, entries, rules, solver_entries,
-      solver_rows, &parallel, &simd_section, &dse_section);
+      solver_rows, &parallel, &simd_section, &dse_section, &crc32_section);
   PAQL_CHECK_MSG(written.ok(), written);
   std::cout << "wrote BENCH_micro.json\n\n";
   benchmark::RunSpecifiedBenchmarks();

@@ -28,6 +28,11 @@ Two families of checks, both bounded by MAX_REGRESS (default 0.25):
     not a regression against an AVX2 baseline). On AVX2 hardware the
     acceptance floor itself is enforced on the CURRENT run: the SIMD
     predicate scan must beat the forced-scalar kernel by at least 1.5x.
+  * CRC-32 — the "crc32" section of BENCH_micro.json: checksum MB/s of
+    the dispatched kernel vs the forced slicing-by-8 fallback. The ratio
+    is compared only between runs of the same kernel ("level") and buffer
+    size. On PCLMULQDQ hosts the floor is enforced on the CURRENT run: the
+    dispatched kernel must checksum at least 4x faster than slicing-by-8.
   * dual pricing — the "dse_pricing" section of BENCH_micro.json. Pivot
     counts are deterministic for the fixed knapsack model, so the
     baseline/DSE pivot ratio transfers across machines: the CURRENT run
@@ -173,6 +178,38 @@ def main() -> int:
                     f"floor on avx2")
             else:
                 print(f"ok simd 1.5x floor: predicate scan {scan:g}x on avx2")
+
+    base_crc = base.get("crc32", {})
+    cur_crc = cur.get("crc32", {})
+    if base_crc and not cur_crc:
+        failures.append('"crc32" section missing from current run')
+    elif cur_crc:
+        ratio = cur_crc.get("speedup", {}).get("crc32_dispatched_vs_scalar")
+        if ratio is None:
+            failures.append("crc32: crc32_dispatched_vs_scalar missing")
+        elif (base_crc.get("level") == cur_crc.get("level")
+              and base_crc.get("buffer_bytes") == cur_crc.get("buffer_bytes")):
+            b = base_crc.get("speedup", {}).get("crc32_dispatched_vs_scalar")
+            if b is not None and ratio < b * (1 - tol):
+                failures.append(
+                    f"crc32 speedup regressed: {ratio:g} < {b:g} "
+                    f"* (1 - {tol:g})")
+            elif b is not None:
+                print(f"ok crc32 speedup: {ratio:g} (baseline {b:g})")
+        elif base_crc:
+            print(
+                f"skipping crc32 speedup: baseline kernel "
+                f"'{base_crc.get('level')}' vs current "
+                f"'{cur_crc.get('level')}' (kernel-dependent ratios do not "
+                f"transfer)")
+        # The floor, on the current run wherever PCLMULQDQ folding ran.
+        if cur_crc.get("level") == "pclmul" and ratio is not None:
+            if ratio < 4.0:
+                failures.append(
+                    f"crc32: pclmul kernel only {ratio:g}x slicing-by-8, "
+                    f"below the 4x floor")
+            else:
+                print(f"ok crc32 4x floor: {ratio:g}x on pclmul")
 
     base_dse = base.get("dse_pricing", {})
     cur_dse = cur.get("dse_pricing", {})

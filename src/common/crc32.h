@@ -1,4 +1,11 @@
-// CRC-32 (IEEE 802.3, polynomial 0xEDB88320), table-driven.
+// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
+//
+// Three kernels compute the same function, picked per call by the SIMD
+// dispatcher (simd::ActiveCrcKernel): PCLMULQDQ carry-less-multiply
+// folding on x86-64, the ARMv8 CRC32 instructions on aarch64, and
+// portable slicing-by-8 tables everywhere else. simd::ForceScalar and
+// PAQL_NO_SIMD pin the table path, and inputs under 256 bytes (WAL
+// frames, footers) always take it.
 //
 // Used to frame WAL records and to checksum block-store payloads and
 // footers so that torn writes and bit rot are detected at read time and

@@ -6,6 +6,11 @@
 #include <cstdlib>
 #include <cstring>
 
+#if !defined(PAQL_NO_SIMD) && defined(__aarch64__) && defined(__linux__)
+#include <asm/hwcap.h>
+#include <sys/auxv.h>
+#endif
+
 #if !defined(PAQL_NO_SIMD) && defined(__x86_64__)
 #define PAQL_SIMD_X86 1
 #include <immintrin.h>
@@ -34,6 +39,23 @@ Level DetectLevel() {
 Level HardwareLevel() {
   static const Level level = DetectLevel();
   return level;
+}
+
+CrcKernel DetectCrcKernel() {
+#if defined(PAQL_SIMD_X86)
+  if (__builtin_cpu_supports("pclmul")) return CrcKernel::kPclmul;
+#elif !defined(PAQL_NO_SIMD) && defined(__aarch64__) && defined(__linux__)
+  if ((getauxval(AT_HWCAP) & HWCAP_CRC32) != 0) return CrcKernel::kArmv8;
+#elif !defined(PAQL_NO_SIMD) && defined(__aarch64__) && \
+    defined(__ARM_FEATURE_CRC32)
+  return CrcKernel::kArmv8;
+#endif
+  return CrcKernel::kSlice8;
+}
+
+CrcKernel HardwareCrcKernel() {
+  static const CrcKernel kernel = DetectCrcKernel();
+  return kernel;
 }
 
 std::atomic<bool>& ForceFlag() {
@@ -567,6 +589,19 @@ const char* LevelName(Level level) {
     case Level::kSse2: return "sse2";
     case Level::kAvx2: return "avx2";
     case Level::kNeon: return "neon";
+  }
+  return "unknown";
+}
+
+CrcKernel ActiveCrcKernel() {
+  return ScalarForced() ? CrcKernel::kSlice8 : HardwareCrcKernel();
+}
+
+const char* CrcKernelName(CrcKernel kernel) {
+  switch (kernel) {
+    case CrcKernel::kSlice8: return "slice8";
+    case CrcKernel::kPclmul: return "pclmul";
+    case CrcKernel::kArmv8: return "armv8";
   }
   return "unknown";
 }

@@ -1,5 +1,6 @@
 // Portable SIMD kernels for the hot chunk loops: predicate compaction,
-// min/max reductions, coefficient fills, and block decode.
+// min/max reductions, coefficient fills, and block decode. The dispatcher
+// also picks the CRC-32 kernel (common/crc32.h).
 //
 // Design rules (docs/architecture.md, "SIMD kernels"):
 //
@@ -45,6 +46,15 @@ const char* LevelName(Level level);
 /// environment override (applied on first use).
 void ForceScalar(bool on);
 bool ScalarForced();
+
+/// CRC-32 kernel (common/crc32.h) the dispatcher resolved to: carry-less
+/// multiply folding where x86-64 has PCLMULQDQ, the ARMv8 CRC32
+/// instructions where aarch64 has them, else the portable slicing-by-8
+/// tables. Respects both kill switches, like ActiveLevel. Every kernel
+/// computes the same function, so the choice changes speed only.
+enum class CrcKernel { kSlice8, kPclmul, kArmv8 };
+CrcKernel ActiveCrcKernel();
+const char* CrcKernelName(CrcKernel kernel);
 
 /// Comparison operator for CompactCmpConst. Semantics match the scalar
 /// pipeline exactly: NaN operands fail every comparison; kNe additionally

@@ -1,8 +1,8 @@
 #include "partition/partitioner.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <unordered_map>
 
 #include "common/str_util.h"
 #include "common/thread_pool.h"
@@ -58,21 +58,39 @@ std::vector<double> GroupCentroid(const ColumnSource& table,
   return centroid;
 }
 
-/// Max |centroid - value| over `rows` across the partitioning columns.
-/// The per-attribute max folds run morsel-parallel (max is exactly
-/// associative, so the result is unchanged).
-double GroupRadius(const ColumnSource& table, const std::vector<RowId>& rows,
-                   const std::vector<size_t>& cols,
-                   const std::vector<double>& centroid, int threads = 1) {
+/// Per-attribute max |centroid - value| over `rows`. The folds run in
+/// parallel across attributes (max is exactly associative, so the result
+/// is unchanged).
+std::vector<double> AttributeRadii(const ColumnSource& table,
+                                   const std::vector<RowId>& rows,
+                                   const std::vector<size_t>& cols,
+                                   const std::vector<double>& centroid,
+                                   int threads = 1) {
   std::vector<double> per_attr(cols.size(), 0.0);
   ParallelIndexFor(cols.size(), threads, [&](size_t k) {
     per_attr[k] =
         relation::GatherMaxAbsDeviation(table, cols[k], rows, centroid[k]);
   });
+  return per_attr;
+}
+
+/// The group radius: the largest per-attribute radius.
+double MaxRadius(const std::vector<double>& per_attr) {
   double radius = 0;
   for (double r : per_attr) radius = std::max(radius, r);
   return radius;
 }
+
+/// Max |centroid - value| over `rows` across the partitioning columns.
+double GroupRadius(const ColumnSource& table, const std::vector<RowId>& rows,
+                   const std::vector<size_t>& cols,
+                   const std::vector<double>& centroid) {
+  return MaxRadius(AttributeRadii(table, rows, cols, centroid));
+}
+
+/// Quadrants per split level: at most 4 split attributes, so a row's
+/// quadrant is a 4-bit mask.
+constexpr size_t kMaxQuadrants = 16;
 
 /// Recursive quad-tree splitter.
 class QuadTreeBuilder {
@@ -100,8 +118,9 @@ class QuadTreeBuilder {
     if (rows.empty()) return Status::OK();
     std::vector<double> centroid =
         GroupCentroid(table_, rows, part_cols_, options_.threads);
-    double radius =
-        GroupRadius(table_, rows, part_cols_, centroid, options_.threads);
+    std::vector<double> attr_radius = AttributeRadii(
+        table_, rows, part_cols_, centroid, options_.threads);
+    double radius = MaxRadius(attr_radius);
     bool size_ok = rows.size() <= options_.size_threshold;
     bool radius_ok = radius <= options_.radius_limit;
     if ((size_ok && radius_ok) || depth >= options_.max_depth) {
@@ -118,19 +137,12 @@ class QuadTreeBuilder {
     // cap of 2^4 per level. Deeper levels handle the rest, so the result
     // still satisfies both conditions while keeping groups near tau.
     std::vector<size_t> split_attrs =
-        ChooseSplitAttributes(rows, centroid, size_ok);
-    std::unordered_map<uint32_t, std::vector<RowId>> quadrants;
-    for (RowId r : rows) {
-      uint32_t mask = 0;
-      for (size_t k = 0; k < split_attrs.size(); ++k) {
-        size_t a = split_attrs[k];
-        if (table_.GetDouble(r, part_cols_[a]) > centroid[a]) {
-          mask |= 1u << k;
-        }
-      }
-      quadrants[mask].push_back(r);
-    }
-    if (quadrants.size() <= 1) {
+        ChooseSplitAttributes(rows.size(), attr_radius, size_ok);
+    std::array<std::vector<RowId>, kMaxQuadrants> quadrants =
+        SplitQuadrants(rows, split_attrs, centroid);
+    size_t nonempty = 0;
+    for (const auto& q : quadrants) nonempty += q.empty() ? 0 : 1;
+    if (nonempty <= 1) {
       // Degenerate: all rows coincide on the partitioning attributes (the
       // radius is then 0). Split by size alone into tau-sized chunks —
       // identical tuples are interchangeable, so any chunking is valid.
@@ -142,36 +154,66 @@ class QuadTreeBuilder {
       }
       return Status::OK();
     }
-    // Deterministic order: sort quadrant masks.
-    std::vector<uint32_t> masks;
-    masks.reserve(quadrants.size());
-    for (const auto& [mask, _] : quadrants) masks.push_back(mask);
-    std::sort(masks.begin(), masks.end());
-    for (uint32_t mask : masks) {
-      PAQL_RETURN_IF_ERROR(Split(std::move(quadrants[mask]), depth + 1, out));
+    // The children hold every row; release the parent's list before
+    // recursing. Children go in ascending mask order (deterministic).
+    std::vector<RowId>().swap(rows);
+    for (auto& quadrant : quadrants) {
+      if (quadrant.empty()) continue;
+      PAQL_RETURN_IF_ERROR(Split(std::move(quadrant), depth + 1, out));
     }
     return Status::OK();
   }
 
-  /// Indices (into part_cols_) of the attributes to split on at this level.
-  /// `size_ok` tells whether only the radius condition is violated.
-  std::vector<size_t> ChooseSplitAttributes(const std::vector<RowId>& rows,
-                                            const std::vector<double>& centroid,
-                                            bool size_ok) const {
+  /// Bucket `rows` by quadrant: bit k of a row's mask is set when its value
+  /// of split attribute k lies above the centroid. Values are read a chunk
+  /// at a time through LoadChunkRaw (one block lookup per block a chunk
+  /// touches, not one per row), and each bucket keeps the rows' order.
+  std::array<std::vector<RowId>, kMaxQuadrants> SplitQuadrants(
+      const std::vector<RowId>& rows, const std::vector<size_t>& split_attrs,
+      const std::vector<double>& centroid) const {
+    std::array<std::vector<RowId>, kMaxQuadrants> quadrants;
+    relation::NumericBatch batch;
+    std::array<uint8_t, relation::kChunkSize> mask;
+    for (size_t off = 0; off < rows.size(); off += relation::kChunkSize) {
+      relation::RowSpan span;
+      span.rows = rows.data() + off;
+      span.len = static_cast<uint32_t>(
+          std::min(relation::kChunkSize, rows.size() - off));
+      std::fill_n(mask.begin(), span.len, uint8_t{0});
+      for (size_t k = 0; k < split_attrs.size(); ++k) {
+        const size_t a = split_attrs[k];
+        table_.LoadChunkRaw(part_cols_[a], span, &batch);
+        const double c = centroid[a];
+        for (uint32_t i = 0; i < span.len; ++i) {
+          mask[i] |= static_cast<uint8_t>(batch.values[i] > c) << k;
+        }
+      }
+      for (uint32_t i = 0; i < span.len; ++i) {
+        quadrants[mask[i]].push_back(span.rows[i]);
+      }
+    }
+    return quadrants;
+  }
+
+  /// Indices (into part_cols_) of the attributes to split on at this level,
+  /// from the group's per-attribute radii. `size_ok` tells whether only
+  /// the radius condition is violated.
+  std::vector<size_t> ChooseSplitAttributes(
+      size_t num_rows, const std::vector<double>& attr_radius,
+      bool size_ok) const {
     // Score each attribute by its radius around the centroid. For size
     // violations the radius is normalized by the attribute's full-table
     // scale so wide-scaled attributes (flux in the thousands) do not starve
     // narrow ones (redshift near zero) of splits; for radius violations the
     // raw radius is the binding quantity.
     std::vector<std::pair<double, size_t>> scored(part_cols_.size());
-    ParallelIndexFor(part_cols_.size(), options_.threads, [&](size_t k) {
-      double radius = relation::GatherMaxAbsDeviation(table_, part_cols_[k],
-                                                      rows, centroid[k]);
+    for (size_t k = 0; k < part_cols_.size(); ++k) {
+      const double radius = attr_radius[k];
       double score = size_ok ? radius
                              : (attr_scale_[k] > 0 ? radius / attr_scale_[k]
                                                    : 0.0);
       scored[k] = {score, k};
-    });
+    }
     std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
       if (a.first != b.first) return a.first > b.first;
       return a.second < b.second;  // deterministic tie-break
@@ -180,7 +222,7 @@ class QuadTreeBuilder {
     if (!size_ok) {
       // Enough binary splits to bring size under tau (assuming balanced
       // children), capped at 4 (16-way fan-out per level).
-      double excess = static_cast<double>(rows.size()) /
+      double excess = static_cast<double>(num_rows) /
                       static_cast<double>(options_.size_threshold);
       want = static_cast<size_t>(std::ceil(std::log2(std::max(excess, 2.0))));
     } else {

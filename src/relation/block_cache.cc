@@ -37,21 +37,8 @@ void BlockCache::EvictLocked(Shard& shard) {
   }
 }
 
-BlockCache::Handle BlockCache::GetOrLoad(const BlockKey& key,
-                                         const Loader& loader) {
+BlockCache::Handle BlockCache::Insert(const BlockKey& key, Handle loaded) {
   Shard& shard = ShardFor(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      ++shard.hits;
-      return shard.lru.front().block;
-    }
-    ++shard.misses;
-  }
-  Handle loaded = loader();
-  if (loaded == nullptr) return nullptr;
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {

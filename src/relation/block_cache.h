@@ -19,7 +19,6 @@
 #define PAQL_RELATION_BLOCK_CACHE_H_
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -91,19 +90,27 @@ class BlockCache {
   };
 
   using Handle = std::shared_ptr<const DecodedBlock>;
-  using Loader = std::function<Handle()>;
 
   BlockCache();  // default Options
   explicit BlockCache(Options options);
 
   /// The cached block for `key`, loading (and inserting) it via `loader`
-  /// on a miss. The loader runs outside the shard lock, so concurrent
-  /// misses on different keys decode in parallel; concurrent misses on
-  /// the same key may decode twice (one result wins, both are valid —
-  /// decoded blocks are immutable).
-  Handle GetOrLoad(const BlockKey& key, const Loader& loader);
+  /// (any callable returning a Handle; a null Handle is passed through
+  /// uncached) on a miss. The loader runs outside the shard lock, so
+  /// concurrent misses on different keys decode in parallel; concurrent
+  /// misses on the same key may decode twice (one result wins, both are
+  /// valid — decoded blocks are immutable). A template, so the hit path
+  /// builds no type-erased closure.
+  template <typename LoadFn>
+  Handle GetOrLoad(const BlockKey& key, LoadFn&& loader) {
+    if (Handle hit = Get(key)) return hit;
+    Handle loaded = loader();
+    if (loaded == nullptr) return nullptr;
+    return Insert(key, std::move(loaded));
+  }
 
   /// The cached block, or null without loading (tests and prefetch).
+  /// Counts a hit or a miss, exactly as GetOrLoad does.
   Handle Get(const BlockKey& key);
 
   /// Pin/unpin an entry (no-ops when absent). Pins nest: a block stays
@@ -145,6 +152,10 @@ class BlockCache {
     int64_t misses = 0;
     int64_t evictions = 0;
   };
+
+  /// Insert a freshly loaded block and return the resident one (a
+  /// concurrent loader of the same key may have won the race).
+  Handle Insert(const BlockKey& key, Handle loaded);
 
   Shard& ShardFor(const BlockKey& key) {
     return shards_[KeyHash{}(key) % shards_.size()];

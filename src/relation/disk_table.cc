@@ -163,19 +163,28 @@ void DiskTable::LoadChunkRaw(size_t col, const RowSpan& span,
       i += take;
     }
   } else {
-    BlockCache::Handle h;
-    size_t held = static_cast<size_t>(-1);
-    for (size_t i = 0; i < span.len; ++i) {
-      const RowId row = span.rows[i];
-      const size_t block = row / kBlockRows;
-      if (block != held) {
-        h = Block(col, block);
-        held = block;
+    // One lookup per run of lanes in the same block (gather lists are
+    // usually ascending), then a tight copy loop over the run.
+    size_t i = 0;
+    while (i < span.len) {
+      const size_t block = span.rows[i] / kBlockRows;
+      BlockCache::Handle h = Block(col, block);
+      const RowId first = static_cast<RowId>(block * kBlockRows);
+      // Unsigned: rows before `first` wrap past kBlockRows and end the run.
+      auto in_block = [&](size_t k) {
+        return static_cast<RowId>(span.rows[k] - first) < kBlockRows;
+      };
+      if (type == DataType::kDouble) {
+        const double* src = h->doubles.data();
+        for (; i < span.len && in_block(i); ++i) {
+          out->values[i] = src[span.rows[i] - first];
+        }
+      } else {
+        const int64_t* src = h->ints.data();
+        for (; i < span.len && in_block(i); ++i) {
+          out->values[i] = static_cast<double>(src[span.rows[i] - first]);
+        }
       }
-      const size_t lane = row % kBlockRows;
-      out->values[i] = h->type == DataType::kInt64
-                           ? static_cast<double>(h->ints[lane])
-                           : h->doubles[lane];
     }
   }
   out->ClearNulls();

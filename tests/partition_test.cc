@@ -2,10 +2,16 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <memory>
 
 #include "common/rng.h"
 #include "partition/partitioner.h"
+#include "relation/block_store.h"
+#include "relation/disk_table.h"
+#include "relation/table_version.h"
+#include "workload/galaxy.h"
 
 namespace paql::partition {
 namespace {
@@ -279,6 +285,148 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PartitionSweepTest,
                          ::testing::Combine(::testing::Values(1, 2, 3, 4),
                                             ::testing::Values(5, 17, 60,
                                                               200)));
+
+// --- Out-of-core views --------------------------------------------------
+
+/// A Galaxy table written to a temporary block store, removed on exit.
+class GalaxyStore {
+ public:
+  GalaxyStore(size_t rows, const std::string& name)
+      : table_(workload::MakeGalaxyTable(rows)),
+        path_((std::filesystem::temp_directory_path() / name).string()) {
+    Status written = relation::WriteBlockStore(table_, path_);
+    EXPECT_TRUE(written.ok()) << written;
+  }
+  ~GalaxyStore() { std::remove(path_.c_str()); }
+
+  const Table& table() const { return table_; }
+
+  /// The store behind a fresh private cache of `cache_bytes`.
+  std::shared_ptr<relation::DiskTable> Open(size_t cache_bytes) const {
+    relation::BlockCache::Options options;
+    options.capacity_bytes = cache_bytes;
+    auto opened = relation::DiskTable::Open(
+        path_, std::make_shared<relation::BlockCache>(options));
+    EXPECT_TRUE(opened.ok()) << opened.status();
+    return opened.ok() ? *opened : nullptr;
+  }
+
+ private:
+  Table table_;
+  std::string path_;
+};
+
+/// All fourteen Galaxy columns: objid and the thirteen numeric attributes.
+PartitionOptions AllGalaxyColumns(size_t rows) {
+  PartitionOptions options;
+  options.attributes = {"objid"};
+  for (const auto& name : workload::GalaxyNumericAttributes()) {
+    options.attributes.push_back(name);
+  }
+  options.size_threshold = rows / 10;  // the planner's default tau
+  return options;
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// Same groups, and radii and representatives equal bit for bit.
+void ExpectIdenticalPartitionings(const Partitioning& expect,
+                                  const Partitioning& got) {
+  EXPECT_EQ(expect.gid, got.gid);
+  EXPECT_EQ(expect.groups, got.groups);
+  ASSERT_EQ(expect.radius.size(), got.radius.size());
+  for (size_t g = 0; g < expect.radius.size(); ++g) {
+    EXPECT_EQ(Bits(expect.radius[g]), Bits(got.radius[g])) << "group " << g;
+  }
+  const Table& a = expect.representatives;
+  const Table& b = got.representatives;
+  ASSERT_TRUE(a.schema() == b.schema());
+  ASSERT_EQ(a.num_rows(), b.num_rows());
+  for (RowId g = 0; g < a.num_rows(); ++g) {
+    for (size_t c = 0; c < a.num_columns(); ++c) {
+      ASSERT_EQ(a.IsNull(g, c), b.IsNull(g, c));
+      if (a.IsNull(g, c)) continue;
+      if (a.schema().column(c).type == DataType::kDouble) {
+        EXPECT_EQ(Bits(a.GetDouble(g, c)), Bits(b.GetDouble(g, c)))
+            << "group " << g << " column " << c;
+      } else {
+        EXPECT_EQ(a.GetInt64(g, c), b.GetInt64(g, c));
+      }
+    }
+  }
+}
+
+/// Block-cache lookups: hits plus misses.
+int64_t Lookups(const relation::BlockCacheStats& stats) {
+  return stats.hits + stats.misses;
+}
+
+// The build reads through chunked accessors only, so an in-memory table,
+// an out-of-core store behind a cache smaller than its decoded columns,
+// and a versioned snapshot with deletes over that store give the same
+// artifact, and the disk views pay a block lookup per chunk, not per row
+// (per-row reads would cost at least one lookup per row and level).
+TEST(PartitionViewsTest, InMemoryDiskAndVersionedViewsAgree) {
+  constexpr size_t kRows = 60000;
+  constexpr size_t kCacheBytes = 2u << 20;  // decoded store: ~6.7 MB
+  GalaxyStore store(kRows, "paql_partition_views.pqb");
+  const PartitionOptions options = AllGalaxyColumns(kRows);
+
+  auto in_memory = PartitionTable(store.table(), options);
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status();
+
+  std::shared_ptr<relation::DiskTable> disk = store.Open(kCacheBytes);
+  ASSERT_NE(disk, nullptr);
+  auto on_disk = PartitionTable(*disk, options);
+  ASSERT_TRUE(on_disk.ok()) << on_disk.status();
+  ExpectIdenticalPartitionings(*in_memory, *on_disk);
+  EXPECT_LT(Lookups(disk->cache()->stats()),
+            static_cast<int64_t>(kRows / 4));
+
+  std::shared_ptr<relation::DiskTable> base = store.Open(kCacheBytes);
+  ASSERT_NE(base, nullptr);
+  auto wrapped = relation::TableVersion::Wrap(base);
+  ASSERT_TRUE(wrapped.ok()) << wrapped.status();
+  relation::TableDelta delta;
+  for (RowId r = 5; r < kRows; r += 41) delta.deletes.push_back(r);
+  auto versioned = (*wrapped)->Apply(delta);
+  ASSERT_TRUE(versioned.ok()) << versioned.status();
+  ASSERT_TRUE((*versioned)->has_deleted_rows());
+  auto on_version = PartitionTable(**versioned, options);
+  ASSERT_TRUE(on_version.ok()) << on_version.status();
+  ExpectIdenticalPartitionings(*in_memory, *on_version);
+  EXPECT_LT(Lookups(base->cache()->stats()),
+            static_cast<int64_t>(kRows / 4));
+  EXPECT_TRUE(disk->ConsumeError().ok());
+  EXPECT_TRUE(base->ConsumeError().ok());
+}
+
+// A 14-column build behind a cache a third the size of the decoded store.
+// Reading the split attributes one row at a time alternates between
+// columns whose blocks evict each other, so nearly every read decodes a
+// block and a 100k-row build runs for minutes. Chunked reads bound the
+// decodes. The re-decodes that remain come from value-clustered gathers:
+// the groups' row lists touch most blocks of every column.
+TEST(PartitionViewsTest, SmallCacheBuildDoesNotThrash) {
+  constexpr size_t kRows = 40000;
+  constexpr size_t kCacheBytes = 1536u << 10;
+  GalaxyStore store(kRows, "paql_partition_thrash.pqb");
+  const PartitionOptions options = AllGalaxyColumns(kRows);
+  std::shared_ptr<relation::DiskTable> disk = store.Open(kCacheBytes);
+  ASSERT_NE(disk, nullptr);
+  auto built = PartitionTable(*disk, options);
+  ASSERT_TRUE(built.ok()) << built.status();
+  const relation::BlockCacheStats stats = disk->cache()->stats();
+  EXPECT_LT(Lookups(stats), static_cast<int64_t>(kRows / 4));
+  EXPECT_LT(stats.misses, static_cast<int64_t>(kRows / 8));
+  auto in_memory = PartitionTable(store.table(), options);
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status();
+  ExpectIdenticalPartitionings(*in_memory, *built);
+}
 
 }  // namespace
 }  // namespace paql::partition
