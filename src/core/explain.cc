@@ -65,7 +65,7 @@ std::string ExplainDirect(const CompiledQuery& query, const ColumnSource& table)
   std::ostringstream out;
   out << "DIRECT plan (paper Section 3.2)\n";
   out << "  input relation: " << table.num_rows() << " rows\n";
-  std::vector<RowId> base = query.ComputeBaseRows(table);
+  std::vector<RowId> base = query.ComputeBaseRowsVectorized(table);
   if (query.has_base_predicate()) {
     out << "  base relation (WHERE): " << base.size() << " rows ("
         << table.num_rows() - base.size() << " excluded; their variables "
@@ -93,13 +93,9 @@ std::string ExplainSketchRefine(const CompiledQuery& query, const ColumnSource& 
 
   // Candidate rows per group after the base predicate.
   std::vector<size_t> group_candidates(partitioning.num_groups(), 0);
-  size_t base_rows = 0;
-  for (RowId r = 0; r < table.num_rows(); ++r) {
-    if (query.BaseAccepts(table, r)) {
-      ++group_candidates[partitioning.gid[r]];
-      ++base_rows;
-    }
-  }
+  const std::vector<RowId> base = query.ComputeBaseRowsVectorized(table);
+  const size_t base_rows = base.size();
+  for (RowId r : base) ++group_candidates[partitioning.gid[r]];
   size_t nonempty = 0;
   std::vector<double> sizes;
   for (size_t g = 0; g < group_candidates.size(); ++g) {

@@ -63,21 +63,21 @@ Result<IncrementalResult> ReEvaluatePackage(
   // list would otherwise create duplicate ILP variables for the same row
   // and duplicated package entries.
   Stopwatch translate_watch;
-  std::vector<RowId> candidates;
+  std::vector<RowId> dirty_rows;
   for (uint32_t g = 0; g < partitioning.num_groups(); ++g) {
     if (!is_dirty[g]) continue;
-    for (RowId r : partitioning.groups[g]) {
-      if (query.BaseAccepts(table, r)) candidates.push_back(r);
-    }
+    dirty_rows.insert(dirty_rows.end(), partitioning.groups[g].begin(),
+                      partitioning.groups[g].end());
   }
-  std::sort(candidates.begin(), candidates.end());
+  std::sort(dirty_rows.begin(), dirty_rows.end());
+  std::vector<RowId> candidates = query.FilterBaseRows(table, dirty_rows);
   out.dirty_candidates = candidates.size();
 
   // Refine-style subproblem: dirty-group candidates under bounds shifted by
   // the fixed part's aggregates (Algorithm 2's Q[G_j], with G_j = the union
   // of the dirty groups).
   std::vector<double> offsets =
-      query.LeafActivities(table, fixed_rows, fixed_mults);
+      query.LeafActivitiesVectorized(table, fixed_rows, fixed_mults);
   CompiledQuery::BuildOptions bopts;
   bopts.activity_offset = &offsets;
   PAQL_ASSIGN_OR_RETURN(lp::Model model,

@@ -4,7 +4,6 @@
 
 #include "common/stopwatch.h"
 #include "common/str_util.h"
-#include "common/thread_pool.h"
 
 namespace paql::core {
 
@@ -36,11 +35,10 @@ Result<EvalResult> NaiveSelfJoinEvaluator::Evaluate(
   EvalResult result;
   Deadline deadline(options_.time_limit_s);
 
-  std::vector<RowId> base =
-      options_.vectorized
-          ? query.ComputeBaseRowsVectorized(*table_,
-                                            ClampThreads(options_.threads))
-          : query.ComputeBaseRows(*table_);
+  // Row at a time through the reference closures, like the package checks
+  // below: NAIVE is an oracle, independent of the batch kernels that build
+  // every other strategy's model.
+  std::vector<RowId> base = query.ComputeBaseRows(*table_);
   size_t n = base.size();
   if (static_cast<size_t>(cardinality) > n) {
     return Status::Infeasible(

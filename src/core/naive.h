@@ -26,16 +26,6 @@ struct NaiveOptions {
   /// hours (the paper measured ~24h at cardinality 7 on 100 tuples), so
   /// benches run it with a small budget and report the timeout.
   double time_limit_s = 0;
-
-  /// Compute the base relation through the chunked batch pipeline (the
-  /// WHERE scan is this evaluator's only per-tuple loop over the table;
-  /// the combination enumeration itself is inherently row-at-a-time).
-  bool vectorized = true;
-
-  /// Workers for that base scan (morsel-parallel off the shared pool when
-  /// > 1; 0 = hardware concurrency). The enumeration stays serial — it is
-  /// the deliberately naive baseline.
-  int threads = 1;
 };
 
 /// Exhaustive self-join-style evaluator for fixed-cardinality queries with

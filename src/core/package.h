@@ -56,19 +56,21 @@ struct EvalStats {
   /// when ExecContext::warm_start is off).
   int64_t warm_lp_solves = 0;
   /// Simplex pivots priced straight off the partial-pricing candidate list
-  /// (zero when ExecContext::pricing is off).
+  /// (zero when SimplexOptions::partial_pricing is off).
   int64_t pricing_candidate_hits = 0;
   /// Boxed columns flipped by the bound-flipping dual ratio test across
-  /// all simplex solves (zero when ExecContext::dse is off).
+  /// all simplex solves (zero when SimplexOptions::dual_steepest_edge is
+  /// off).
   int64_t bound_flips = 0;
   /// Dual pivots whose leaving row was chosen by the steepest-edge weights
-  /// (zero when ExecContext::dse is off).
+  /// (zero when SimplexOptions::dual_steepest_edge is off).
   int64_t dse_pivots = 0;
   /// Integer variables permanently fixed by root reduced-cost fixing
-  /// across all ILP solves (zero when ExecContext::pricing is off).
+  /// across all ILP solves (zero when
+  /// BranchAndBoundOptions::reduced_cost_fixing is off).
   int64_t rc_fixed_vars = 0;
   /// Columns removed by the ILP presolve pass across all solves (zero
-  /// when ExecContext::pricing is off).
+  /// when BranchAndBoundOptions::presolve is off).
   int64_t presolve_fixed_vars = 0;
 
   // SKETCHREFINE-specific counters (zero for other strategies).

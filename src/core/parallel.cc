@@ -202,12 +202,9 @@ Result<EvalResult> ParallelSketchRefineEvaluator::EvaluateGroupParallel(
 
   // Group the base relation by the offline partitioning (as the sequential
   // driver does).
-  const bool vectorized = options_.sketch_refine.vectorized;
   Stopwatch translate_watch;
   std::vector<std::vector<RowId>> group_rows(partitioning_->num_groups());
-  std::vector<RowId> base =
-      vectorized ? query.ComputeBaseRowsVectorized(*table_, threads)
-                 : query.ComputeBaseRows(*table_);
+  std::vector<RowId> base = query.ComputeBaseRowsVectorized(*table_, threads);
   for (RowId r : base) {
     group_rows[partitioning_->gid[r]].push_back(r);
   }
@@ -234,7 +231,7 @@ Result<EvalResult> ParallelSketchRefineEvaluator::EvaluateGroupParallel(
   seg.rows = &rep_rows;
   seg.ub_override = &rep_ub;
   PAQL_ASSIGN_OR_RETURN(lp::Model sketch_model,
-                        query.BuildModelSegments({seg}, nullptr, vectorized));
+                        query.BuildModelSegments({seg}, nullptr));
   auto sketch =
       ilp::SolveIlp(sketch_model, options_.sketch_refine.limits,
                     options_.sketch_refine.EffectiveBranchAndBound());
@@ -261,7 +258,7 @@ Result<EvalResult> ParallelSketchRefineEvaluator::EvaluateGroupParallel(
       picked_mults.push_back(rep_mult[i]);
     }
   }
-  std::vector<double> total_acts = query.LeafActivities(
+  std::vector<double> total_acts = query.LeafActivitiesVectorized(
       partitioning_->representatives, picked_reps, picked_mults);
 
   // --- Speculative parallel REFINE: one subproblem per picked group. ---
@@ -289,14 +286,13 @@ Result<EvalResult> ParallelSketchRefineEvaluator::EvaluateGroupParallel(
     size_t g = active[i];
     GroupOutcome& out = outcomes[job];
     // Offsets: everything in the sketch except this group's rep.
-    std::vector<double> offsets = query.LeafActivities(
+    std::vector<double> offsets = query.LeafActivitiesVectorized(
         partitioning_->representatives, {rep_rows[i]}, {rep_mult[i]});
     for (size_t k = 0; k < offsets.size(); ++k) {
       offsets[k] = total_acts[k] - offsets[k];
     }
     CompiledQuery::BuildOptions build;
     build.activity_offset = &offsets;
-    build.vectorized = vectorized;
     auto model = query.BuildModel(*table_, group_rows[g], build);
     if (!model.ok()) {
       out.status = model.status();
@@ -345,8 +341,8 @@ Result<EvalResult> ParallelSketchRefineEvaluator::EvaluateGroupParallel(
     }
   }
   result.package.Normalize();
-  if (!query.PackageSatisfiesGlobals(*table_, result.package.rows,
-                                     result.package.multiplicity)) {
+  if (!query.GlobalsSatisfied(query.LeafActivitiesVectorized(
+          *table_, result.package.rows, result.package.multiplicity))) {
     // Local refinements conflicted — the failure mode §4.5 predicts.
     return fall_back(stats);
   }

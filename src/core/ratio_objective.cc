@@ -1,12 +1,14 @@
 #include "core/ratio_objective.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "common/stopwatch.h"
 #include "common/str_util.h"
-#include "translate/compile_expr.h"
+#include "relation/chunk.h"
 #include "translate/compiled_query.h"
+#include "translate/vector_expr.h"
 
 namespace paql::core {
 
@@ -45,36 +47,43 @@ Result<EvalResult> RatioObjectiveEvaluator::Evaluate(
       CompiledQuery::Compile(constraints_only, table_->schema()));
 
   // Numerator value and denominator membership per tuple.
-  PAQL_ASSIGN_OR_RETURN(translate::RowFn value,
-                        translate::CompileScalar(*avg.arg, table_->schema()));
-  translate::RowPred filter;
+  PAQL_ASSIGN_OR_RETURN(
+      translate::BatchFn value,
+      translate::CompileScalarBatch(*avg.arg, table_->schema()));
+  translate::BatchPred filter;
   if (avg.filter) {
-    PAQL_ASSIGN_OR_RETURN(filter,
-                          translate::CompileBool(*avg.filter,
-                                                 table_->schema()));
+    PAQL_ASSIGN_OR_RETURN(
+        filter, translate::CompileBoolBatch(*avg.filter, table_->schema()));
   }
 
   EvalResult result;
   Stopwatch translate_watch;
   std::vector<RowId> rows =
-      options_.vectorized
-          ? cq.ComputeBaseRowsVectorized(*table_,
-                                         options_.EffectiveThreads())
-          : cq.ComputeBaseRows(*table_);
+      cq.ComputeBaseRowsVectorized(*table_, options_.EffectiveThreads());
   CompiledQuery::BuildOptions build;
-  build.vectorized = options_.vectorized;
   build.threads = options_.EffectiveThreads();
   PAQL_ASSIGN_OR_RETURN(lp::Model model, cq.BuildModel(*table_, rows, build));
 
   std::vector<double> numerator(rows.size(), 0.0);
   std::vector<double> denominator(rows.size(), 0.0);
-  for (size_t k = 0; k < rows.size(); ++k) {
-    RowId r = rows[k];
-    if (filter && !filter(*table_, r)) continue;
-    double v = value(*table_, r);
-    if (std::isnan(v)) continue;  // SQL AVG skips NULLs
-    numerator[k] = v;
-    denominator[k] = 1.0;
+  relation::NumericBatch batch;
+  relation::SelectionVector sel;
+  for (size_t off = 0; off < rows.size(); off += relation::kChunkSize) {
+    relation::RowSpan span;
+    span.rows = rows.data() + off;
+    span.len = static_cast<uint32_t>(
+        std::min(relation::kChunkSize, rows.size() - off));
+    sel.MakeDense(span.len);
+    if (filter) filter(*table_, span, &sel);
+    if (sel.empty()) continue;
+    value(*table_, span, &batch);
+    for (uint32_t k = 0; k < sel.count; ++k) {
+      const size_t i = off + sel.idx[k];
+      double v = batch.values[sel.idx[k]];
+      if (std::isnan(v)) continue;  // SQL AVG skips NULLs
+      numerator[i] = v;
+      denominator[i] = 1.0;
+    }
   }
 
   // Implicit constraint: the (filtered) denominator must be positive, or
@@ -141,25 +150,19 @@ Result<EvalResult> RatioObjectiveEvaluator::Evaluate(
     lambda = p / q;
   }
 
+  // The package, and its objective: the achieved AVG ratio.
+  double p = 0, q = 0;
   for (size_t k = 0; k < rows.size(); ++k) {
     int64_t mult = static_cast<int64_t>(std::llround(best_x[k]));
     if (mult > 0) {
       result.package.rows.push_back(rows[k]);
       result.package.multiplicity.push_back(mult);
+      if (denominator[k] == 0.0) continue;
+      p += numerator[k] * static_cast<double>(mult);
+      q += static_cast<double>(mult);
     }
   }
   result.package.Normalize();
-  // Objective: the achieved AVG ratio.
-  double p = 0, q = 0;
-  for (size_t i = 0; i < result.package.rows.size(); ++i) {
-    RowId r = result.package.rows[i];
-    double mult = static_cast<double>(result.package.multiplicity[i]);
-    if (filter && !filter(*table_, r)) continue;
-    double v = value(*table_, r);
-    if (std::isnan(v)) continue;
-    p += v * mult;
-    q += mult;
-  }
   result.objective = q > 0 ? p / q : 0.0;
   result.stats.wall_seconds = total.ElapsedSeconds();
   return result;

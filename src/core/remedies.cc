@@ -131,10 +131,8 @@ RobustSketchRefineEvaluator::IisAttributes(const CompiledQuery& query) const {
   std::vector<RowId> rep_rows;
   std::vector<double> rep_ub;
   for (size_t g = 0; g < partitioning_->num_groups(); ++g) {
-    size_t candidates = 0;
-    for (RowId r : partitioning_->groups[g]) {
-      if (query.BaseAccepts(*table_, r)) ++candidates;
-    }
+    const size_t candidates =
+        query.FilterBaseRows(*table_, partitioning_->groups[g]).size();
     if (candidates == 0) continue;
     rep_rows.push_back(static_cast<RowId>(g));
     double ub = query.per_tuple_ub();

@@ -48,17 +48,12 @@ class Driver {
     Stopwatch total;
     EvalResult result;
 
-    // Group the base relation by the offline partitioning. The base scan
-    // runs chunked through the batch pipeline when enabled.
+    // Group the base relation by the offline partitioning.
     Stopwatch translate_watch;
     std::vector<std::vector<RowId>> group_rows(partitioning_.num_groups());
     translate::ScanCounters scan;
-    std::vector<RowId> base =
-        options_.vectorized
-            ? query_.ComputeBaseRowsVectorized(table_,
-                                               options_.EffectiveThreads(),
-                                               &scan)
-            : query_.ComputeBaseRows(table_);
+    std::vector<RowId> base = query_.ComputeBaseRowsVectorized(
+        table_, options_.EffectiveThreads(), &scan);
     stats_.blocks_scanned = scan.blocks_scanned.load();
     stats_.blocks_pruned = scan.blocks_pruned.load();
     for (RowId r : base) {
@@ -152,7 +147,6 @@ class Driver {
       seg.ub_override = &prob.ub;
       PAQL_ASSIGN_OR_RETURN(lp::Model model,
                             query_.BuildModelSegments({seg}, &offsets,
-                                                      options_.vectorized,
                                                       options_.EffectiveThreads()));
       PAQL_ASSIGN_OR_RETURN(ilp::IlpSolution sol, SolveModel(model));
       return RoundMults(sol.x, prob.rows.size());
@@ -234,7 +228,6 @@ class Driver {
       seg.ub_override = &sub.ub;
       PAQL_ASSIGN_OR_RETURN(lp::Model model,
                             query_.BuildModelSegments({seg}, &offsets,
-                                                      options_.vectorized,
                                                       options_.EffectiveThreads()));
       cache->model = std::move(model);
       cache->built = true;
@@ -417,14 +410,10 @@ class Driver {
         rep_mults.push_back(state[g].rep_mult);
       }
     }
-    std::vector<double> acts =
-        options_.vectorized
-            ? query_.LeafActivitiesVectorized(*prob.table, orig_rows,
-                                              orig_mults,
-                                              options_.EffectiveThreads())
-            : query_.LeafActivities(*prob.table, orig_rows, orig_mults);
+    std::vector<double> acts = query_.LeafActivitiesVectorized(
+        *prob.table, orig_rows, orig_mults, options_.EffectiveThreads());
     std::vector<double> rep_acts =
-        query_.LeafActivities(*groups.rep_table, rep_rows, rep_mults);
+        query_.LeafActivitiesVectorized(*groups.rep_table, rep_rows, rep_mults);
     for (size_t i = 0; i < acts.size(); ++i) acts[i] += rep_acts[i];
     return acts;
   }
@@ -549,7 +538,6 @@ class Driver {
     PAQL_ASSIGN_OR_RETURN(
         lp::Model model,
         query_.BuildModelSegments({seg_orig, seg_rep}, &offsets,
-                                  options_.vectorized,
                                   options_.EffectiveThreads()));
     PAQL_ASSIGN_OR_RETURN(ilp::IlpSolution sol, SolveModel(model));
     HybridResult out;

@@ -56,14 +56,10 @@ Result<Session> Engine::Open(std::shared_ptr<const relation::ColumnSource> table
 namespace {
 
 /// Copies the ExecContext toggles every session entry point must report
-/// identically (Execute, ExecuteTopK, PlanQuery, Explain): the pipeline
-/// actually used and the solver warm-start mode.
-void FillPlanExecFlags(const ExecContext& exec, const CompiledQuery& compiled,
-                       Plan* plan) {
-  plan->vectorized = exec.vectorized && compiled.ilp.fully_vectorizable();
+/// identically (Execute, ExecuteTopK, PlanQuery, Explain): the solver
+/// warm-start mode and the worker count.
+void FillPlanExecFlags(const ExecContext& exec, Plan* plan) {
   plan->warm_start = exec.warm_start;
-  plan->pricing = exec.pricing;
-  plan->dse = exec.dse;
   plan->exec_threads = exec.EffectiveThreads();
 }
 
@@ -441,7 +437,7 @@ Result<QueryResult> Session::Execute(std::string_view paql) {
     Planner planner(options_.planner);
     out.plan = planner.Decide(*resolved.table, shape);
   }
-  FillPlanExecFlags(options_.exec, compiled, &out.plan);
+  FillPlanExecFlags(options_.exec, &out.plan);
   std::shared_ptr<const partition::Partitioning> used_partitioning;
   PAQL_ASSIGN_OR_RETURN(
       std::unique_ptr<engine::PackageEvaluator> strategy,
@@ -541,7 +537,7 @@ Result<std::vector<QueryResult>> Session::ExecuteTopK(std::string_view paql,
   shape.topk = k;
   Planner planner(options_.planner);
   Plan plan = planner.Decide(*resolved.table, shape);
-  FillPlanExecFlags(options_.exec, compiled, &plan);
+  FillPlanExecFlags(options_.exec, &plan);
   timings.plan_seconds = plan_watch.ElapsedSeconds();
 
   const auto* in_memory =
@@ -587,7 +583,7 @@ Result<Plan> Session::PlanQuery(std::string_view paql) {
   shape.joined_from = resolved.joined_from;
   Planner planner(options_.planner);
   Plan plan = planner.Decide(*resolved.table, shape);
-  FillPlanExecFlags(options_.exec, compiled, &plan);
+  FillPlanExecFlags(options_.exec, &plan);
   if (plan.uses_partitioning()) {
     PAQL_ASSIGN_OR_RETURN(auto partitioning,
                           PartitioningFor(resolved, &plan));
@@ -606,7 +602,7 @@ Result<std::string> Session::Explain(std::string_view paql) {
   shape.joined_from = resolved.joined_from;
   Planner planner(options_.planner);
   Plan plan = planner.Decide(*resolved.table, shape);
-  FillPlanExecFlags(options_.exec, compiled, &plan);
+  FillPlanExecFlags(options_.exec, &plan);
 
   std::ostringstream os;
   if (plan.uses_partitioning()) {
@@ -1013,7 +1009,8 @@ Status Session::DumpLp(std::string_view paql, std::ostream& os) {
         "ratio (AVG) objectives have no linear LP translation to dump");
   }
   auto model = compiled->ilp.BuildModel(
-      *resolved->table, compiled->ilp.ComputeBaseRows(*resolved->table));
+      *resolved->table,
+      compiled->ilp.ComputeBaseRowsVectorized(*resolved->table));
   if (!model.ok()) return model.status();
   lp::WriteLpFormat(*model, os);
   return Status::OK();

@@ -66,40 +66,15 @@ struct ExecContext {
   /// initial refinement order, the parallel ordering race's racer seeds).
   uint64_t seed = 42;
 
-  /// Evaluate per-tuple expressions through the vectorized batch pipeline
-  /// (1024-row chunks with selection vectors, translate/vector_expr.h)
-  /// instead of the row-at-a-time closures. Results are identical either
-  /// way (the differential tests enforce it); this exists as a kill switch
-  /// and for A/B benchmarking. Expressions the batch compiler cannot
-  /// handle fall back to scalar per piece even when enabled.
-  bool vectorized = true;
-
   /// Warm-start the LP solver across branch-and-bound nodes and across
   /// consecutive subproblem solves that share a column set: each node LP
   /// re-optimizes from its parent's basis with the dual simplex, and the
   /// SKETCHREFINE refine loop patches row bounds of a cached model
   /// (CompiledQuery::UpdateModelOffsets) instead of rebuilding it. Results
   /// are identical either way (the differential warm-vs-cold sweep enforces
-  /// it); like `vectorized`, this exists as a kill switch and for A/B
-  /// benchmarking. Overrides BranchAndBoundOptions::warm_start wherever a
-  /// strategy passes EffectiveBranchAndBound() to the solver.
+  /// it). Overrides BranchAndBoundOptions::warm_start wherever a strategy
+  /// passes EffectiveBranchAndBound() to the solver.
   bool warm_start = true;
-
-  /// The sparse solver core: candidate-list partial pricing with devex
-  /// weights in the simplex, presolve before each ILP solve, and root
-  /// reduced-cost fixing in branch-and-bound. Results are identical either
-  /// way (the partial-vs-full differential sweep enforces it); false
-  /// restores the pre-sparse full-Dantzig solver exactly — like
-  /// `vectorized` and `warm_start`, a kill switch and A/B baseline.
-  bool pricing = true;
-
-  /// Dual-simplex pricing upgrade: steepest-edge leaving-row weights plus
-  /// the bound-flipping (long-step) dual ratio test in warm re-solves.
-  /// Results are identical either way (the dual phase is an accelerator;
-  /// the primal phases always finish the solve) — false restores the plain
-  /// most-violated-row / min-ratio dual phase as the A/B baseline. Like
-  /// `pricing`, a kill switch and benchmarking knob.
-  bool dse = true;
 
   /// Worker threads for intra-query parallelism: the morsel-driven chunk
   /// pipeline (parallel scans, coefficient fills, per-group partitioning
@@ -116,16 +91,13 @@ struct ExecContext {
   /// hardware concurrency.
   int EffectiveThreads() const { return ClampThreads(threads); }
 
-  /// Branch-and-bound options with the context-level warm_start, pricing,
-  /// and threads knobs applied — what every strategy hands to
-  /// ilp::SolveIlp.
+  /// Branch-and-bound options with the context-level warm_start and
+  /// threads knobs applied — what every strategy hands to ilp::SolveIlp.
+  /// The solver settings themselves (partial pricing, dual steepest edge,
+  /// presolve, reduced-cost fixing) come from `branch_and_bound` as is.
   ilp::BranchAndBoundOptions EffectiveBranchAndBound() const {
     ilp::BranchAndBoundOptions bnb = branch_and_bound;
     bnb.warm_start = warm_start;
-    bnb.simplex.partial_pricing = pricing;
-    bnb.simplex.dual_steepest_edge = dse;
-    bnb.presolve = pricing;
-    bnb.reduced_cost_fixing = pricing;
     bnb.threads = EffectiveThreads();
     return bnb;
   }

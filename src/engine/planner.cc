@@ -123,10 +123,8 @@ std::string Plan::Explain() const {
   os << "reason: " << reason << "\n";
   os << "table rows: " << table_rows << "\n";
   os << "direct row threshold: " << direct_row_threshold << "\n";
-  os << "pipeline: "
-     << (vectorized ? "vectorized (1024-row batches)"
-                    : "scalar (row-at-a-time)");
-  if (vectorized && exec_threads > 1) {
+  os << "pipeline: 1024-row batches";
+  if (exec_threads > 1) {
     os << ", morsel-parallel x" << exec_threads;
   }
   if (plan_cached) os << ", plan from cross-query cache";
@@ -134,13 +132,6 @@ std::string Plan::Explain() const {
   os << "solver: "
      << (warm_start ? "warm-started (dual simplex basis reuse)"
                     : "cold (primal from scratch per node)")
-     << ", "
-     << (dse ? "steepest-edge dual pricing + bound flips"
-             : "most-violated-row dual pricing")
-     << ", "
-     << (pricing ? "partial pricing (devex candidates + presolve + "
-                   "reduced-cost fixing)"
-                 : "full Dantzig pricing (presolve off)")
      << ", "
      << (exec_threads > 1
              ? StrCat("concurrent branch-and-bound x", exec_threads)

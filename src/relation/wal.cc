@@ -244,27 +244,36 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(const WalOptions& options) {
                         ListSegments(writer->env_, options.dir));
   std::lock_guard<std::mutex> lock(writer->mu_);
   writer->seq_ = seqs.empty() ? 0 : seqs.back();
-  PAQL_RETURN_IF_ERROR(writer->OpenSegmentLocked());
   return writer;
 }
 
 WalWriter::~WalWriter() {
-  if (file_ != nullptr) (void)Close();  // best effort; errors unreportable
+  (void)Close();  // best effort; errors unreportable
+}
+
+Status WalWriter::CloseSegmentLocked() {
+  if (file_ == nullptr) return Status::OK();
+  Status sync = file_->Sync();
+  Status close = file_->Close();
+  file_ = nullptr;
+  PAQL_RETURN_IF_ERROR(sync);
+  return close;
 }
 
 Status WalWriter::OpenSegmentLocked() {
-  if (file_ != nullptr) {
-    PAQL_RETURN_IF_ERROR(file_->Sync());
-    PAQL_RETURN_IF_ERROR(file_->Close());
-    file_ = nullptr;
-  }
-  ++seq_;
-  const std::string path = StrCat(options_.dir, "/", SegmentName(seq_));
-  PAQL_ASSIGN_OR_RETURN(file_, env_->NewWritableFile(path));
+  // A failed open leaves seq_ as it was, so the next Append rewrites the
+  // same segment from an empty file instead of leaving a torn header in
+  // the middle of the log.
+  const uint64_t seq = seq_ + 1;
+  const std::string path = StrCat(options_.dir, "/", SegmentName(seq));
+  PAQL_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
+                        env_->NewWritableFile(path));
   std::vector<uint8_t> header;
   header.insert(header.end(), kWalMagic, kWalMagic + sizeof(kWalMagic));
   PutScalar<uint32_t>(&header, kWalVersion);
-  PAQL_RETURN_IF_ERROR(file_->Append(header.data(), header.size()));
+  PAQL_RETURN_IF_ERROR(file->Append(header.data(), header.size()));
+  file_ = std::move(file);
+  seq_ = seq;
   segment_bytes_ = header.size();
   unsynced_records_ = 0;
   ++segments_;
@@ -273,7 +282,8 @@ Status WalWriter::OpenSegmentLocked() {
 
 Status WalWriter::Append(const WalRecord& record) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (file_ == nullptr) return Status::Internal("wal: writer is closed");
+  if (closed_) return Status::Internal("wal: writer is closed");
+  if (file_ == nullptr) PAQL_RETURN_IF_ERROR(OpenSegmentLocked());
   const std::vector<uint8_t> payload = EncodeWalRecord(record);
   std::vector<uint8_t> frame;
   frame.reserve(kFrameBytes + payload.size());
@@ -305,15 +315,17 @@ Status WalWriter::Append(const WalRecord& record) {
     case WalSync::kNone:
       break;
   }
+  // Rotation closes the full segment; the next Append opens its successor.
   if (segment_bytes_ >= options_.segment_bytes) {
-    PAQL_RETURN_IF_ERROR(OpenSegmentLocked());
+    PAQL_RETURN_IF_ERROR(CloseSegmentLocked());
   }
   return Status::OK();
 }
 
 Status WalWriter::Sync() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (file_ == nullptr) return Status::Internal("wal: writer is closed");
+  if (closed_) return Status::Internal("wal: writer is closed");
+  if (file_ == nullptr) return Status::OK();
   PAQL_RETURN_IF_ERROR(file_->Sync());
   ++syncs_;
   unsynced_records_ = 0;
@@ -322,12 +334,8 @@ Status WalWriter::Sync() {
 
 Status WalWriter::Close() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (file_ == nullptr) return Status::OK();
-  Status sync = file_->Sync();
-  Status close = file_->Close();
-  file_ = nullptr;
-  PAQL_RETURN_IF_ERROR(sync);
-  return close;
+  closed_ = true;
+  return CloseSegmentLocked();
 }
 
 uint64_t WalWriter::records_appended() const {

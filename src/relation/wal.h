@@ -96,9 +96,12 @@ struct WalRecord {
 
 /// Appends framed records to rotating segment files. Thread-safe (one
 /// internal mutex; writers in this codebase are already serialized, the
-/// lock is a backstop). Never appends into a pre-existing segment: Open
-/// always starts a fresh segment after the highest existing one, so a
-/// recovered process cannot disturb the torn-tail analysis of old files.
+/// lock is a backstop). Never appends into a pre-existing segment: the
+/// first Append after Open starts a fresh segment after the highest
+/// existing one, so a recovered process cannot disturb the torn-tail
+/// analysis of old files. Segments open lazily, on the first record they
+/// hold: a writer that never appends leaves no file behind, and rotation
+/// does not leave an empty segment at the end of the log.
 class WalWriter {
  public:
   static Result<std::unique_ptr<WalWriter>> Open(const WalOptions& options);
@@ -112,7 +115,8 @@ class WalWriter {
   /// batch; a torn prefix on disk is handled by replay).
   Status Append(const WalRecord& record);
 
-  /// Force an fsync of the current segment now.
+  /// Force an fsync of the current segment now (a no-op while no segment
+  /// is open).
   Status Sync();
 
   /// Sync + close the current segment. The writer is unusable after.
@@ -128,12 +132,14 @@ class WalWriter {
   explicit WalWriter(WalOptions options) : options_(std::move(options)) {}
 
   Status OpenSegmentLocked();
+  Status CloseSegmentLocked();
 
   WalOptions options_;
   Env* env_ = nullptr;
 
   mutable std::mutex mu_;
-  std::unique_ptr<WritableFile> file_;
+  std::unique_ptr<WritableFile> file_;  // null until the next Append
+  bool closed_ = false;
   uint64_t seq_ = 0;             // current segment sequence number
   uint64_t segment_bytes_ = 0;   // bytes in the current segment
   int unsynced_records_ = 0;

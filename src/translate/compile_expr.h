@@ -43,24 +43,17 @@ Result<RowPred> CompileBool(const lang::BoolExpr& expr,
 /// optional subquery filter is compiled into the returned pair's predicate
 /// (nullptr-equivalent: always-true).
 ///
-/// Alongside the scalar closures, CompileAggArg also compiles vectorized
-/// batch twins (vector_expr.h). The scalar pair is the reference
-/// implementation and always present; the batch pair is best-effort —
-/// `vectorized()` is false when batch compilation was unavailable, and
-/// callers must then fall back to the scalar pair.
+/// Alongside the scalar closures, CompileAggArg compiles the batch twins
+/// (vector_expr.h) that every evaluation entry point runs; the scalar pair
+/// is the reference they are checked against. Both compilers accept the
+/// same expressions, so a batch compilation failure is returned as the
+/// error.
 struct CompiledAggArg {
   RowFn value;     // per-tuple contribution
   RowPred filter;  // may be empty => always true
 
-  BatchFn batch_value;    // empty when the batch compiler declined
-  BatchPred batch_filter; // empty => always true (only valid if vectorized())
-
-  /// True when the batch twins cover this argument (batch_value present,
-  /// and batch_filter present whenever the scalar filter is).
-  bool vectorized() const {
-    return static_cast<bool>(batch_value) &&
-           (!filter || static_cast<bool>(batch_filter));
-  }
+  BatchFn batch_value;    // batch twin of `value`
+  BatchPred batch_filter; // batch twin of `filter`; empty => always true
 };
 Result<CompiledAggArg> CompileAggArg(const lang::AggCall& call,
                                      const relation::Schema& schema);
@@ -71,7 +64,7 @@ double AggregateSumScalar(const relation::ColumnSource& table,
                           const CompiledAggArg& arg);
 
 /// Vectorized twin of AggregateSumScalar, accumulating chunk at a time in
-/// the same row order (bit-identical result). Requires arg.vectorized().
+/// the same row order (bit-identical result).
 double AggregateSumVectorized(const relation::ColumnSource& table,
                               const CompiledAggArg& arg);
 

@@ -10,6 +10,12 @@
 //   * evaluate leaf-constraint activities and package feasibility directly
 //     (used by refine-query bound shifting and by result validation).
 //
+// Every scan, filter, model build and activity sum runs the batch kernels
+// (translate/vector_expr.h). The row-at-a-time closures (compile_expr.h)
+// back the reference entry points — ComputeBaseRows, BaseAccepts,
+// LeafActivities, PackageSatisfiesGlobals, ObjectiveValue — that package
+// validation, the NAIVE oracle and the tests check the kernels against.
+//
 // Translation rules implemented:
 //   1. REPEAT K          =>  0 <= x_i <= K+1 (no REPEAT: x_i unbounded)
 //   2. base predicate    =>  tuples failing WHERE are excluded (x_i = 0
@@ -64,10 +70,8 @@ struct LinearExpr {
   bool integral = false;
 
   /// Per-tuple coefficient: sum_k scale_k * (filter_k ? value_k : 0).
+  /// The reference for CoeffBatch.
   double Coeff(const relation::ColumnSource& table, relation::RowId row) const;
-
-  /// True when every term carries batch twins, so CoeffBatch is usable.
-  bool vectorizable() const;
 
   /// Batch twin of Coeff: out[i] = Coeff(span.row(i)) for i < span.len,
   /// accumulated term by term in the same order (bit-identical result).
@@ -92,16 +96,15 @@ class CompiledQuery {
   bool maximize() const { return maximize_; }
   const std::string& package_name() const { return package_name_; }
 
-  /// Rows of `table` satisfying the WHERE clause (the base relation R_beta).
+  /// Rows of `table` satisfying the WHERE clause (the base relation R_beta),
+  /// row at a time through the scalar closure: the reference.
   std::vector<relation::RowId> ComputeBaseRows(
       const relation::ColumnSource& table) const;
 
-  /// Vectorized twin of ComputeBaseRows: scans the table in kChunkSize-row
-  /// batches through the compiled BatchPred. Falls back to the scalar path
-  /// when the WHERE clause has no batch compilation; the result is always
-  /// identical to ComputeBaseRows. `threads` > 1 scans morsels in
-  /// parallel off the shared pool (same result bit for bit; the batch
-  /// fallback-to-scalar path stays serial). Sources with block statistics
+  /// The base relation, scanned in kChunkSize-row batches through the
+  /// compiled BatchPred; identical to ComputeBaseRows. `threads` > 1 scans
+  /// morsels in parallel off the shared pool (same result bit for bit).
+  /// Sources with block statistics
   /// (relation::DiskTable) skip whole blocks whose zone maps are disjoint
   /// from the WHERE clause's extracted ranges; `counters` (may be null)
   /// receives the scanned/pruned block counts.
@@ -116,25 +119,20 @@ class CompiledQuery {
     return base_zone_ranges_;
   }
 
-  /// The subset of `rows` satisfying the WHERE clause (all of them when
-  /// the query has none), through the batch or scalar pipeline.
+  /// The live subset of `rows` satisfying the WHERE clause (all live rows
+  /// when the query has none), order preserved, through the batch kernels.
   std::vector<relation::RowId> FilterBaseRows(
       const relation::ColumnSource& table, const std::vector<relation::RowId>& rows,
-      bool vectorized, int threads = 1) const;
+      int threads = 1) const;
 
-  /// Per-row base-predicate test (true when the query has no WHERE).
-  /// Deleted rows of a versioned table never qualify: the base relation
-  /// R_beta is defined over the live rows of the snapshot.
+  /// Per-row base-predicate test (true when the query has no WHERE): the
+  /// reference for FilterBaseRows. Deleted rows of a versioned table never
+  /// qualify: the base relation R_beta is defined over the live rows of
+  /// the snapshot.
   bool BaseAccepts(const relation::ColumnSource& table, relation::RowId row) const {
     if (table.has_deleted_rows() && table.RowDeleted(row)) return false;
     return !base_pred_ || base_pred_(table, row);
   }
-
-  /// True when every compiled piece (WHERE, constraint leaves, objective)
-  /// has a batch twin, i.e. the whole evaluation can run vectorized. The
-  /// vectorized entry points degrade gracefully piece by piece when this
-  /// is false; strategies use it to report which pipeline actually ran.
-  bool fully_vectorizable() const { return fully_vectorizable_; }
 
   // --- ILP construction --------------------------------------------------
 
@@ -147,11 +145,6 @@ class CompiledQuery {
     /// the model (the refine query's p-bar aggregates). Row bounds are
     /// shifted by these amounts. Empty = all zeros.
     const std::vector<double>* activity_offset = nullptr;
-    /// Compute objective and constraint coefficients through the batch
-    /// kernels (chunk at a time) instead of per-row closures. Pieces
-    /// without batch twins fall back per leaf; the model is bit-identical
-    /// either way.
-    bool vectorized = false;
     /// Workers for the coefficient fills (> 1 = morsel-parallel off the
     /// shared pool). Every coefficient lands in its own slot, so the
     /// model is bit-identical for any worker count.
@@ -173,13 +166,12 @@ class CompiledQuery {
 
   /// Build the ILP over the concatenated candidate segments. Variable k of
   /// the model corresponds to the k-th row across all segments in order.
-  /// `activity_offset` (may be nullptr) shifts each leaf's bounds;
-  /// `vectorized` selects the batch coefficient pipeline (the model is
-  /// bit-identical either way).
+  /// `activity_offset` (may be nullptr) shifts each leaf's bounds. The
+  /// coefficients come from the batch kernels; each equals the reference
+  /// LeafActivities/ObjectiveValue of its row alone.
   Result<lp::Model> BuildModelSegments(
       const std::vector<Segment>& segments,
-      const std::vector<double>* activity_offset, bool vectorized = false,
-      int threads = 1) const;
+      const std::vector<double>* activity_offset, int threads = 1) const;
 
   /// True when activity offsets only move row bounds: the SUCH THAT tree
   /// has no OR, so the model has exactly one row per leaf and no big-M
@@ -224,15 +216,14 @@ class CompiledQuery {
   }
 
   /// Activity of every leaf constraint for the package given as parallel
-  /// (row, multiplicity) arrays over `table`.
+  /// (row, multiplicity) arrays over `table`, row at a time: the reference.
   std::vector<double> LeafActivities(
       const relation::ColumnSource& table,
       const std::vector<relation::RowId>& rows,
       const std::vector<int64_t>& multiplicity) const;
 
-  /// Vectorized twin of LeafActivities (chunked gather through the batch
-  /// kernels, same accumulation order — bit-identical result). Leaves
-  /// without batch twins fall back to the scalar closures. `threads` > 1
+  /// Batch twin of LeafActivities (chunked gather through the batch
+  /// kernels, same accumulation order — bit-identical result). `threads` > 1
   /// evaluates the leaves in parallel (each leaf's order-sensitive float
   /// accumulation stays inside one worker, so the activities are
   /// bit-identical for any worker count).
@@ -246,7 +237,7 @@ class CompiledQuery {
   bool GlobalsSatisfied(const std::vector<double>& activities,
                         double tol = 1e-6) const;
 
-  /// Convenience: activities + GlobalsSatisfied in one call.
+  /// Reference activities + GlobalsSatisfied in one call.
   bool PackageSatisfiesGlobals(const relation::ColumnSource& table,
                                const std::vector<relation::RowId>& rows,
                                const std::vector<int64_t>& multiplicity,
@@ -330,9 +321,8 @@ class CompiledQuery {
   std::string package_name_;
   double per_tuple_ub_ = lp::kInf;
   RowPred base_pred_;                 // empty when no WHERE
-  BatchPred base_pred_batch_;         // batch twin; may be empty
+  BatchPred base_pred_batch_;         // batch twin; empty when no WHERE
   std::vector<ZoneRange> base_zone_ranges_;  // WHERE-implied block ranges
-  bool fully_vectorizable_ = true;
   std::vector<Leaf> leaves_;
   std::unique_ptr<Node> root_;        // null when no SUCH THAT
   bool offsets_updatable_ = true;     // no OR: offsets only move row bounds

@@ -1,19 +1,20 @@
 // Compilation of PaQL per-tuple expressions into vectorized batch kernels.
 //
-// The batch pipeline is the performance twin of compile_expr.h: the same
-// expressions, compiled onto kChunkSize-row chunks of the columnar Table
-// instead of one row at a time. A numeric kernel (BatchFn) fills a
-// NumericBatch for every lane of a RowSpan; a predicate kernel (BatchPred)
-// refines a SelectionVector in place, so AND chains narrow the surviving
-// lanes and OR/NOT recombine them. One indirect call per kernel per chunk
-// replaces one per kernel per row.
+// The batch pipeline is what every evaluation entry point runs: the
+// expressions of compile_expr.h, compiled onto kChunkSize-row chunks of
+// the columnar Table instead of one row at a time. A numeric kernel
+// (BatchFn) fills a NumericBatch for every lane of a RowSpan; a predicate
+// kernel (BatchPred) refines a SelectionVector in place, so AND chains
+// narrow the surviving lanes and OR/NOT recombine them. One indirect call
+// per kernel per chunk replaces one per kernel per row.
 //
 // Semantics are bit-for-bit identical to the scalar pipeline (the
 // differential test enforces this): NULL lanes carry NaN exactly like
 // RowFn, NaN comparisons are false, string comparisons and IS NULL read
 // the table directly, and accumulation orders match the scalar loops.
-// The scalar RowFn/RowPred closures remain the reference implementation;
-// callers fall back to them whenever batch compilation is unavailable.
+// The scalar RowFn/RowPred closures remain the reference implementation
+// the tests, package validation and the NAIVE oracle use. Both compilers
+// accept and reject exactly the same expressions.
 #ifndef PAQL_TRANSLATE_VECTOR_EXPR_H_
 #define PAQL_TRANSLATE_VECTOR_EXPR_H_
 

@@ -1,10 +1,12 @@
 // Differential testing of the evaluation pipelines on randomly generated
 // PaQL queries:
 //
-//   (a) vectorized vs scalar — base-relation filtering, ILP coefficient
-//       construction, and leaf activities must agree BIT FOR BIT on random
-//       tables with NULLs (the batch kernels replay the scalar pipeline's
-//       exact floating-point operation order);
+//   (a) batch kernels vs the row-at-a-time reference — base-relation
+//       filtering, every column of the batch-built ILP, and leaf
+//       activities must agree BIT FOR BIT with ComputeBaseRows,
+//       LeafActivities and ObjectiveValue on random tables with NULLs (the
+//       batch kernels replay the scalar closures' exact floating-point
+//       operation order);
 //   (b) DIRECT vs NAIVE — on tiny instances the whole-problem ILP and the
 //       exhaustive self-join enumeration must agree on feasibility and on
 //       the optimal objective value.
@@ -29,6 +31,7 @@
 #include "core/ratio_objective.h"
 #include "core/sketch_refine.h"
 #include "core/topk.h"
+#include "model_check_util.h"
 #include "paql/ast.h"
 #include "partition/partitioner.h"
 #include "relation/table.h"
@@ -176,6 +179,25 @@ std::unique_ptr<GlobalPredicate> RandomSuchThat(Rng* rng,
                              : GlobalPredicate::Or(std::move(l), std::move(r));
 }
 
+/// An AVG, MIN or MAX comparison against a constant, optionally over a
+/// subquery filter: the aggregates the translator rewrites, AVG(e) cmp v
+/// into per-tuple coefficients e_i - v and MIN/MAX into threshold-count
+/// leaves.
+std::unique_ptr<GlobalPredicate> RandomRewrittenLeaf(Rng* rng,
+                                                     const std::string& pkg) {
+  auto call = std::make_unique<AggCall>();
+  relation::AggFunc funcs[] = {relation::AggFunc::kAvg,
+                               relation::AggFunc::kMin,
+                               relation::AggFunc::kMax};
+  call->func = funcs[rng->UniformInt(0, 2)];
+  call->arg = RandomScalar(rng, pkg, 1);
+  if (rng->Bernoulli(0.3)) call->filter = RandomWhere(rng, pkg, 1);
+  CmpOp ops[] = {CmpOp::kLe, CmpOp::kLt, CmpOp::kGe, CmpOp::kGt, CmpOp::kEq};
+  return GlobalPredicate::Cmp(
+      ops[rng->UniformInt(0, 4)], GlobalExpr::Agg(std::move(call)),
+      GlobalExpr::Literal(static_cast<double>(rng->UniformInt(-9, 9))));
+}
+
 /// A random query in the linear fragment (always compiles).
 PackageQuery RandomQueryA(Rng* rng) {
   PackageQuery q;
@@ -242,12 +264,14 @@ void ExpectSameModel(const lp::Model& scalar, const lp::Model& vectorized) {
 }
 
 // ---------------------------------------------------------------------------
-// (a) vectorized vs scalar, bit for bit
+// (a) batch kernels vs the row-at-a-time reference, bit for bit
 // ---------------------------------------------------------------------------
 
-TEST(DifferentialTest, VectorizedMatchesScalarOn200RandomQueries) {
+TEST(DifferentialTest, BatchModelMatchesReferenceOn200RandomQueries) {
   constexpr int kQueries = 200;
   int models_built = 0;
+  int or_free_models = 0;
+  int rewritten_leaf_models = 0;
   int nonempty_bases = 0;
   for (int seed = 1; seed <= kQueries; ++seed) {
     Rng rng(static_cast<uint64_t>(seed) * 2654435761u);
@@ -255,28 +279,43 @@ TEST(DifferentialTest, VectorizedMatchesScalarOn200RandomQueries) {
         RandomTable(&rng, 200 + static_cast<size_t>(rng.UniformInt(0, 400)),
                     /*null_p=*/0.2);
     PackageQuery query = RandomQueryA(&rng);
+    const bool rewritten = rng.Bernoulli(0.5);
+    if (rewritten) {
+      query.such_that = GlobalPredicate::And(std::move(query.such_that),
+                                             RandomRewrittenLeaf(&rng, "P"));
+    }
     SCOPED_TRACE(StrCat("seed ", seed, "\nquery:\n", lang::ToString(query)));
 
     auto cq = CompiledQuery::Compile(query, table.schema());
     ASSERT_TRUE(cq.ok()) << cq.status();
-    EXPECT_TRUE(cq->fully_vectorizable());
 
-    // Base relation: identical row sets.
+    // Base relation: identical row sets, over the whole table and over an
+    // unordered subset with repeats.
     std::vector<RowId> base = cq->ComputeBaseRows(table);
     ASSERT_EQ(base, cq->ComputeBaseRowsVectorized(table));
+    std::vector<RowId> subset;
+    for (RowId r = static_cast<RowId>(table.num_rows()); r-- > 0;) {
+      if (r % 3 != 0) subset.push_back(r);
+      if (r % 7 == 0) subset.push_back(r);
+    }
+    std::vector<RowId> accepted;
+    for (RowId r : subset) {
+      if (cq->BaseAccepts(table, r)) accepted.push_back(r);
+    }
+    ASSERT_EQ(accepted, cq->FilterBaseRows(table, subset));
 
-    // Whole ILP model: identical objective and constraint coefficients.
-    // (Unbounded-repetition queries with OR predicates have no big-M model;
-    // both pipelines must then fail identically.)
-    CompiledQuery::BuildOptions vec;
-    vec.vectorized = true;
-    auto m_scalar = cq->BuildModel(table, base);
-    auto m_vector = cq->BuildModel(table, base, vec);
-    ASSERT_EQ(m_scalar.ok(), m_vector.ok())
-        << m_scalar.status() << " vs " << m_vector.status();
-    if (m_scalar.ok()) {
-      ExpectSameModel(*m_scalar, *m_vector);
+    // Every column of the one batch-built model carries the reference
+    // coefficients of its tuple. (Unbounded-repetition queries with OR
+    // predicates have no big-M model.)
+    auto model = cq->BuildModel(table, base);
+    if (model.ok()) {
+      ExpectModelMatchesReference(*cq, table, base, *model);
       ++models_built;
+      if (cq->CanUpdateOffsets()) ++or_free_models;
+      if (rewritten) ++rewritten_leaf_models;
+    } else {
+      EXPECT_EQ(model.status().code(), StatusCode::kUnsupported)
+          << model.status();
     }
     if (!base.empty()) ++nonempty_bases;
 
@@ -292,6 +331,8 @@ TEST(DifferentialTest, VectorizedMatchesScalarOn200RandomQueries) {
   }
   // Guard against the generator drifting into vacuity.
   EXPECT_GE(models_built, kQueries / 2);
+  EXPECT_GE(or_free_models, kQueries / 4);
+  EXPECT_GE(rewritten_leaf_models, kQueries / 5);
   EXPECT_GE(nonempty_bases, kQueries / 2);
 }
 
@@ -302,7 +343,7 @@ TEST(DifferentialTest, VectorizedMatchesScalarOn200RandomQueries) {
 TEST(DifferentialTest, SimdMatchesForcedScalarOn200RandomQueries) {
   // The simd.h kernels (predicate compaction, arithmetic, reductions,
   // coefficient fills, block decode) claim bit-identity with their scalar
-  // fallbacks. Run the vectorized pipeline twice — SIMD dispatch active,
+  // fallbacks. Run the batch kernels twice — SIMD dispatch active,
   // then runtime-forced scalar — and require identical base rows, models,
   // and leaf activities. On a machine whose build already resolves to the
   // scalar level (PAQL_NO_SIMD) both runs are the same code path and the
@@ -326,16 +367,13 @@ TEST(DifferentialTest, SimdMatchesForcedScalarOn200RandomQueries) {
     auto cq = CompiledQuery::Compile(query, table.schema());
     ASSERT_TRUE(cq.ok()) << cq.status();
 
-    CompiledQuery::BuildOptions vec;
-    vec.vectorized = true;
-
     simd::ForceScalar(false);
     std::vector<RowId> base_simd = cq->ComputeBaseRowsVectorized(table);
-    auto m_simd = cq->BuildModel(table, base_simd, vec);
+    auto m_simd = cq->BuildModel(table, base_simd);
 
     simd::ForceScalar(true);
     std::vector<RowId> base_scalar = cq->ComputeBaseRowsVectorized(table);
-    auto m_scalar = cq->BuildModel(table, base_scalar, vec);
+    auto m_scalar = cq->BuildModel(table, base_scalar);
     simd::ForceScalar(false);
 
     ASSERT_EQ(base_simd, base_scalar);
@@ -366,7 +404,7 @@ TEST(DifferentialTest, SimdMatchesForcedScalarOn200RandomQueries) {
 }
 
 // ---------------------------------------------------------------------------
-// (b) DIRECT vs NAIVE on tiny instances, plus the end-to-end toggle
+// (b) DIRECT vs NAIVE on tiny instances
 // ---------------------------------------------------------------------------
 
 TEST(DifferentialTest, DirectMatchesNaiveOn200TinyInstances) {
@@ -413,18 +451,6 @@ TEST(DifferentialTest, DirectMatchesNaiveOn200TinyInstances) {
       EXPECT_LE(std::abs(n - d), 1e-6 * (1.0 + std::abs(n)))
           << "naive " << n << " vs direct " << d;
     }
-
-    // End-to-end toggle: the scalar pipeline must reproduce the vectorized
-    // run exactly (same package, same objective).
-    DirectOptions scalar_opts;
-    scalar_opts.vectorized = false;
-    DirectEvaluator scalar_direct(table, scalar_opts);
-    auto scalar_result = scalar_direct.Evaluate(*cq);
-    ASSERT_TRUE(scalar_result.ok()) << scalar_result.status();
-    EXPECT_EQ(direct_result->package.rows, scalar_result->package.rows);
-    EXPECT_EQ(direct_result->package.multiplicity,
-              scalar_result->package.multiplicity);
-    EXPECT_EQ(direct_result->objective, scalar_result->objective);
   }
   // Both outcomes must actually occur, or the harness proves nothing.
   EXPECT_GE(feasible, 25);
@@ -612,11 +638,20 @@ void ExpectSamePricingOutcome(const CompiledQuery& cq, const Table& table,
   EXPECT_LE(std::abs(partial->objective - full->objective),
             1e-6 * (1.0 + std::abs(full->objective)))
       << "partial " << partial->objective << " vs full " << full->objective;
-  // The kill switch must restore the pre-sparse path exactly: no candidate
+  // The baseline must run the pre-sparse path exactly: no candidate
   // pricing, no presolve reductions, no reduced-cost fixing.
   EXPECT_EQ(full->stats.pricing_candidate_hits, 0);
   EXPECT_EQ(full->stats.rc_fixed_vars, 0);
   EXPECT_EQ(full->stats.presolve_fixed_vars, 0);
+}
+
+/// The solver without its sparse core: full Dantzig pricing, no presolve,
+/// no reduced-cost fixing. The solver-level options stay as the reference
+/// these sweeps compare the default solver against.
+void UseFullDantzigSolver(engine::ExecContext* exec) {
+  exec->branch_and_bound.simplex.partial_pricing = false;
+  exec->branch_and_bound.presolve = false;
+  exec->branch_and_bound.reduced_cost_fixing = false;
 }
 
 TEST(DifferentialTest, PartialPricingMatchesFullDantzigOn200RandomQueries) {
@@ -652,7 +687,7 @@ TEST(DifferentialTest, PartialPricingMatchesFullDantzigOn200RandomQueries) {
     switch (arm) {
       case kDirect: {
         DirectOptions partial_opts, full_opts;
-        full_opts.pricing = false;
+        UseFullDantzigSolver(&full_opts);
         auto partial = DirectEvaluator(table, partial_opts).Evaluate(*cq);
         auto full = DirectEvaluator(table, full_opts).Evaluate(*cq);
         ExpectSamePricingOutcome(*cq, table, partial, full, &feasible,
@@ -669,7 +704,7 @@ TEST(DifferentialTest, PartialPricingMatchesFullDantzigOn200RandomQueries) {
         auto partitioning = partition::PartitionTable(table, popts);
         ASSERT_TRUE(partitioning.ok()) << partitioning.status();
         core::SketchRefineOptions partial_opts, full_opts;
-        full_opts.pricing = false;
+        UseFullDantzigSolver(&full_opts);
         auto partial = core::SketchRefineEvaluator(table, *partitioning,
                                                    partial_opts)
                            .Evaluate(*cq);
@@ -686,7 +721,7 @@ TEST(DifferentialTest, PartialPricingMatchesFullDantzigOn200RandomQueries) {
       case kTopK: {
         core::TopKOptions partial_opts, full_opts;
         partial_opts.k = full_opts.k = 3;
-        full_opts.pricing = false;
+        UseFullDantzigSolver(&full_opts);
         auto partial = core::EnumerateTopPackages(table, *cq, partial_opts);
         auto full = core::EnumerateTopPackages(table, *cq, full_opts);
         if (!full.ok()) {

@@ -5,6 +5,7 @@
 #include "ilp/branch_and_bound.h"
 #include "ilp/cuts.h"
 #include "lp/lp_format.h"
+#include "model_check_util.h"
 #include "paql/parser.h"
 #include "translate/compiled_query.h"
 
@@ -424,25 +425,23 @@ TEST(CompiledQueryTest, BuildModelAttachesCscMatchingRows) {
       "MINIMIZE SUM(P.fat)",
       t);
   std::vector<RowId> rows = cq.ComputeBaseRows(t);
-  for (bool vectorized : {false, true}) {
-    CompiledQuery::BuildOptions opts;
-    opts.vectorized = vectorized;
-    auto model = cq.BuildModel(t, rows, opts);
-    ASSERT_TRUE(model.ok()) << model.status();
-    const lp::SparseMatrix* attached = model->attached_columns();
-    ASSERT_NE(attached, nullptr) << "vectorized=" << vectorized;
-    lp::SparseMatrix rebuilt = lp::SparseMatrix::FromModel(*model);
-    ASSERT_EQ(attached->num_rows(), rebuilt.num_rows());
-    ASSERT_EQ(attached->num_cols(), rebuilt.num_cols());
-    ASSERT_EQ(attached->num_nonzeros(), rebuilt.num_nonzeros());
-    for (int j = 0; j < rebuilt.num_cols(); ++j) {
-      ASSERT_EQ(attached->begin(j), rebuilt.begin(j)) << "col " << j;
-      for (size_t k = rebuilt.begin(j); k < rebuilt.end(j); ++k) {
-        EXPECT_EQ(attached->entry_row(k), rebuilt.entry_row(k))
-            << "col " << j;
-        EXPECT_EQ(attached->entry_value(k), rebuilt.entry_value(k))
-            << "col " << j;
-      }
+  auto model = cq.BuildModel(t, rows);
+  ASSERT_TRUE(model.ok()) << model.status();
+  // Every column carries the reference coefficients of its tuple...
+  ExpectModelMatchesReference(cq, t, rows, *model);
+  // ...and the attached view agrees with the emitted rows.
+  const lp::SparseMatrix* attached = model->attached_columns();
+  ASSERT_NE(attached, nullptr);
+  lp::SparseMatrix rebuilt = lp::SparseMatrix::FromModel(*model);
+  ASSERT_EQ(attached->num_rows(), rebuilt.num_rows());
+  ASSERT_EQ(attached->num_cols(), rebuilt.num_cols());
+  ASSERT_EQ(attached->num_nonzeros(), rebuilt.num_nonzeros());
+  for (int j = 0; j < rebuilt.num_cols(); ++j) {
+    ASSERT_EQ(attached->begin(j), rebuilt.begin(j)) << "col " << j;
+    for (size_t k = rebuilt.begin(j); k < rebuilt.end(j); ++k) {
+      EXPECT_EQ(attached->entry_row(k), rebuilt.entry_row(k)) << "col " << j;
+      EXPECT_EQ(attached->entry_value(k), rebuilt.entry_value(k))
+          << "col " << j;
     }
   }
 
@@ -454,6 +453,7 @@ TEST(CompiledQueryTest, BuildModelAttachesCscMatchingRows) {
   auto or_model = or_query.BuildModel(t, rows);
   ASSERT_TRUE(or_model.ok()) << or_model.status();
   EXPECT_EQ(or_model->attached_columns(), nullptr);
+  ExpectModelMatchesReference(or_query, t, rows, *or_model);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <limits>
 
 #include "common/rng.h"
+#include "model_check_util.h"
 #include "paql/parser.h"
 #include "relation/chunk.h"
 #include "translate/compile_expr.h"
@@ -307,7 +308,6 @@ TEST(VectorExprTest, ChunkBoundarySizes) {
     lang::PackageQuery q = ParseSum("R.a + R.b * 0.5");
     auto arg = CompileAggArg(*q.objective->expr->agg, t.schema());
     ASSERT_TRUE(arg.ok());
-    ASSERT_TRUE(arg->vectorized());
     EXPECT_EQ(AggregateSumScalar(t, *arg), AggregateSumVectorized(t, *arg))
         << rows << " rows";
   }
@@ -329,7 +329,6 @@ TEST(VectorExprTest, CountStarBatchContributesOnePerTuple) {
   call.is_count_star = true;
   auto arg = CompileAggArg(call, t.schema());
   ASSERT_TRUE(arg.ok());
-  ASSERT_TRUE(arg->vectorized());
   EXPECT_EQ(static_cast<double>(t.num_rows()),
             AggregateSumVectorized(t, *arg));
 }
@@ -339,7 +338,6 @@ TEST(VectorExprTest, SumSkipsNullsLikeScalar) {
   lang::PackageQuery q = ParseSum("R.a");
   auto arg = CompileAggArg(*q.objective->expr->agg, t.schema());
   ASSERT_TRUE(arg.ok());
-  ASSERT_TRUE(arg->vectorized());
   EXPECT_EQ(AggregateSumScalar(t, *arg), AggregateSumVectorized(t, *arg));
 }
 
@@ -353,7 +351,6 @@ TEST(VectorExprTest, FilteredAggregateMatchesScalar) {
   ASSERT_TRUE(call.filter != nullptr);
   auto arg = CompileAggArg(call, t.schema());
   ASSERT_TRUE(arg.ok());
-  ASSERT_TRUE(arg->vectorized());
   EXPECT_EQ(AggregateSumScalar(t, *arg), AggregateSumVectorized(t, *arg));
 }
 
@@ -374,26 +371,16 @@ TEST(VectorExprTest, CompiledQueryCoefficientsMatchScalar) {
   ASSERT_TRUE(q.ok()) << q.status();
   auto cq = CompiledQuery::Compile(*q, t.schema());
   ASSERT_TRUE(cq.ok()) << cq.status();
-  EXPECT_TRUE(cq->fully_vectorizable());
 
-  // Base rows: scalar vs vectorized.
+  // Base rows: reference vs batch scan.
   std::vector<RowId> base = cq->ComputeBaseRows(t);
   EXPECT_EQ(base, cq->ComputeBaseRowsVectorized(t));
 
-  // Whole models: scalar vs vectorized coefficient pipeline.
-  CompiledQuery::BuildOptions scalar_opts;
-  CompiledQuery::BuildOptions vector_opts;
-  vector_opts.vectorized = true;
-  auto m1 = cq->BuildModel(t, base, scalar_opts);
-  auto m2 = cq->BuildModel(t, base, vector_opts);
-  ASSERT_TRUE(m1.ok() && m2.ok());
-  ASSERT_EQ(m1->num_vars(), m2->num_vars());
-  EXPECT_EQ(m1->obj(), m2->obj());
-  ASSERT_EQ(m1->num_rows(), m2->num_rows());
-  for (int i = 0; i < m1->num_rows(); ++i) {
-    EXPECT_EQ(m1->rows()[i].vars, m2->rows()[i].vars) << "row " << i;
-    EXPECT_EQ(m1->rows()[i].coefs, m2->rows()[i].coefs) << "row " << i;
-  }
+  // The batch-built model, column by column against the reference
+  // (covers the AVG rewrite and the MIN threshold leaf).
+  auto model = cq->BuildModel(t, base);
+  ASSERT_TRUE(model.ok()) << model.status();
+  ExpectModelMatchesReference(*cq, t, base, *model);
 
   // Leaf activities over a synthetic package.
   std::vector<RowId> pkg_rows;
@@ -406,16 +393,16 @@ TEST(VectorExprTest, CompiledQueryCoefficientsMatchScalar) {
             cq->LeafActivitiesVectorized(t, pkg_rows, mults));
 }
 
-TEST(VectorExprTest, QueriesWithoutWhereAreFullyVectorizable) {
+TEST(VectorExprTest, QueriesWithoutWhereScanEveryRow) {
   Table t = MakeTable(64);
   auto q = lang::ParsePackageQuery(
       "SELECT PACKAGE(R) AS P FROM R SUCH THAT COUNT(P.*) = 2");
   ASSERT_TRUE(q.ok());
   auto cq = CompiledQuery::Compile(*q, t.schema());
   ASSERT_TRUE(cq.ok());
-  EXPECT_TRUE(cq->fully_vectorizable());
   std::vector<RowId> base = cq->ComputeBaseRowsVectorized(t);
   EXPECT_EQ(t.num_rows(), base.size());
+  EXPECT_EQ(base, cq->ComputeBaseRows(t));
 }
 
 }  // namespace

@@ -190,6 +190,17 @@ TEST(WalWriterTest, RotatesSegmentsAndReplaysAcrossThem) {
   }
 }
 
+/// Segment files in `dir` (0 when it does not exist).
+size_t CountSegmentFiles(const std::string& dir) {
+  if (!std::filesystem::exists(dir)) return 0;
+  size_t segments = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    (void)entry;
+    ++segments;
+  }
+  return segments;
+}
+
 TEST(WalWriterTest, ReopenStartsAFreshSegmentAndKeepsOldRecords) {
   TempDir dir("paql_wal_reopen");
   WalOptions options;
@@ -210,12 +221,45 @@ TEST(WalWriterTest, ReopenStartsAFreshSegmentAndKeepsOldRecords) {
   EXPECT_EQ(records[0].base_version, 0u);
   EXPECT_EQ(records[1].base_version, 1u);
   // Two incarnations, two segments — Open never appends into old files.
-  size_t segments = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
-    (void)entry;
-    ++segments;
+  EXPECT_EQ(CountSegmentFiles(dir.path()), 2u);
+}
+
+TEST(WalWriterTest, OpenWithoutAppendCreatesNoSegment) {
+  // Every server start opens a writer; a start that logs nothing must not
+  // leave a header-only segment behind.
+  TempDir dir("paql_wal_lazy");
+  WalOptions options;
+  options.dir = dir.path();
+  options.sync = WalSync::kNone;
+  {
+    auto writer = WalWriter::Open(options);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    ASSERT_TRUE((*writer)->Append(DeltaRecord("t", 0)).ok());
   }
-  EXPECT_EQ(segments, 2u);
+  ASSERT_EQ(CountSegmentFiles(dir.path()), 1u);
+  for (int start = 0; start < 3; ++start) {
+    auto writer = WalWriter::Open(options);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    EXPECT_TRUE((*writer)->Sync().ok());
+    EXPECT_EQ((*writer)->segments_opened(), 0u);
+    ASSERT_TRUE((*writer)->Close().ok());
+    // A closed writer still refuses records.
+    EXPECT_FALSE((*writer)->Append(DeltaRecord("t", 1)).ok());
+    EXPECT_FALSE((*writer)->Sync().ok());
+  }
+  EXPECT_EQ(CountSegmentFiles(dir.path()), 1u);
+
+  // The next record after those restarts opens a fresh segment.
+  {
+    auto writer = WalWriter::Open(options);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    ASSERT_TRUE((*writer)->Append(DeltaRecord("t", 1)).ok());
+    EXPECT_EQ((*writer)->segments_opened(), 1u);
+  }
+  EXPECT_EQ(CountSegmentFiles(dir.path()), 2u);
+  std::vector<WalRecord> records = Replayed(options);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[1].base_version, 1u);
 }
 
 TEST(WalWriterTest, SyncPolicies) {
