@@ -39,7 +39,7 @@ int Run(int argc, char** argv) {
     RunCell direct = RunDirect(galaxy, cq, limits);
     RunCell sr = RunSketchRefine(galaxy, *partitioning, cq, limits);
 
-    core::LpRoundingOptions lp_opts;
+    engine::ExecContext lp_opts;
     lp_opts.branch_and_bound.gap_tol = kCplexDefaultGap;
     core::LpRoundingEvaluator lp_eval(galaxy, lp_opts);
     core::LpRoundingInfo info;

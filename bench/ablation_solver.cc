@@ -81,7 +81,7 @@ int Run(int argc, char** argv) {
     double seconds = 0;
     for (const auto& bq : *queries) {
       translate::CompiledQuery cq = MustCompileBench(bq, galaxy);
-      core::DirectOptions dopts;
+      engine::ExecContext dopts;
       dopts.limits = limits;
       dopts.branch_and_bound = c.options;
       core::DirectEvaluator direct(galaxy, dopts);

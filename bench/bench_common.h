@@ -116,7 +116,7 @@ inline constexpr double kCplexDefaultGap = 1e-4;
 inline RunCell RunDirect(const relation::Table& table,
                          const translate::CompiledQuery& query,
                          const ilp::SolverLimits& limits) {
-  core::DirectOptions options;
+  engine::ExecContext options;
   options.limits = limits;
   options.branch_and_bound.gap_tol = kCplexDefaultGap;
   core::DirectEvaluator direct(table, options);

@@ -316,7 +316,7 @@ void Run(const BenchConfig& config) {
                " SUCH THAT COUNT(P.*) = 8 AND SUM(P.petroRad_r) <= ",
                Lit(8 * mean_rad * 1.3), " MINIMIZE SUM(P.g)"),
         galaxy.schema());
-    core::DirectOptions options;
+    engine::ExecContext options;
     options.limits = limits;
     options.branch_and_bound.gap_tol = kCplexDefaultGap;
     options.threads = 1;

@@ -8,8 +8,8 @@
 //   --sketchrefine <tau>   force the SKETCHREFINE strategy with size
 //                          threshold tau (default: the planner decides)
 //   --direct               force the DIRECT strategy
-//   --parallel <threads>   grant worker threads (upgrades SKETCHREFINE to
-//                          the parallel variant)
+//   --threads <n>          worker threads for scans, partitioning and
+//                          branch-and-bound (0 = hardware, 1 = serial)
 //   --threshold <rows>     planner size threshold for auto DIRECT vs
 //                          SKETCHREFINE routing
 //   --topk <k>             enumerate the k best distinct packages
@@ -421,7 +421,7 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::cerr << "usage: " << argv[0]
               << " <table.csv|table.pqb> [more ...] [--sketchrefine tau]"
-                 " [--direct] [--parallel threads] [--threads n]"
+                 " [--direct] [--threads n]"
                  " [--threshold rows] [--topk k] [--cache-mb mb]"
                  " [--explain] [--dump-lp] [--query 'PAQL']\n";
     return 2;
@@ -469,8 +469,6 @@ int main(int argc, char** argv) {
           static_cast<size_t>(std::stoul(argv[++i]));
     } else if (arg == "--direct") {
       live.options().planner.force = Strategy::kDirect;
-    } else if (arg == "--parallel" && i + 1 < argc) {
-      live.options().planner.parallel_threads = std::atoi(argv[++i]);
     } else if (arg == "--threads" && i + 1 < argc) {
       // Engine-wide morsel parallelism (0 = hardware, 1 = serial): scans,
       // partitioning statistics, and the branch-and-bound search.
@@ -495,12 +493,6 @@ int main(int argc, char** argv) {
       std::cerr << "unknown argument: " << arg << "\n";
       return 2;
     }
-  }
-  // Resolve flag interactions after the whole command line is parsed, so
-  // --parallel and --sketchrefine combine in either order.
-  if (live.options().planner.parallel_threads > 1 &&
-      live.options().planner.force == Strategy::kSketchRefine) {
-    live.options().planner.force = Strategy::kParallelSketchRefine;
   }
   if (query_text.has_value()) {
     return RunStatement(live, options, *query_text);

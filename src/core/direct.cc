@@ -7,7 +7,7 @@
 namespace paql::core {
 
 DirectEvaluator::DirectEvaluator(const relation::ColumnSource& table,
-                                 DirectOptions options)
+                                 engine::ExecContext options)
     : table_(&table), options_(std::move(options)) {}
 
 Result<EvalResult> DirectEvaluator::Evaluate(

@@ -14,16 +14,14 @@
 
 namespace paql::core {
 
-/// DIRECT has no strategy-specific knobs: its options are exactly the
-/// shared execution context (`limits` budgets the single whole-problem
-/// solve; `cancel` is polled before handing the ILP to the solver).
-struct DirectOptions : engine::ExecContext {};
-
 /// Evaluates package queries by solving one ILP over the full base relation.
+/// DIRECT has no strategy-specific knobs: `limits` budgets the single
+/// whole-problem solve and `cancel` is polled before handing the ILP to
+/// the solver.
 class DirectEvaluator {
  public:
   explicit DirectEvaluator(const relation::ColumnSource& table,
-                           DirectOptions options = {});
+                           engine::ExecContext options = {});
 
   /// Parse-compile-and-evaluate convenience entry point.
   Result<EvalResult> Evaluate(const lang::PackageQuery& query) const;
@@ -49,7 +47,7 @@ class DirectEvaluator {
       double filter_seconds) const;
 
   const relation::ColumnSource* table_;
-  DirectOptions options_;
+  engine::ExecContext options_;
 };
 
 }  // namespace paql::core

@@ -17,12 +17,17 @@ namespace {
 
 constexpr double kIntTol = 1e-6;
 
+/// When the first repair ILP is infeasible, un-fix this many additional
+/// integer-valued candidates (those with the largest LP values) and retry
+/// once.
+constexpr size_t kWidenCandidates = 64;
+
 bool IsIntegral(double v) { return std::abs(v - std::llround(v)) <= kIntTol; }
 
 }  // namespace
 
 LpRoundingEvaluator::LpRoundingEvaluator(const ColumnSource& table,
-                                         LpRoundingOptions options)
+                                         engine::ExecContext options)
     : table_(&table), options_(std::move(options)) {}
 
 Result<EvalResult> LpRoundingEvaluator::Evaluate(
@@ -152,8 +157,7 @@ Result<EvalResult> LpRoundingEvaluator::EvaluateWithInfo(
   };
 
   auto repaired = try_repair(fixed, repair);
-  if (!repaired.ok() && repaired.status().IsInfeasible() &&
-      options_.widen_candidates > 0 && !fixed.empty()) {
+  if (!repaired.ok() && repaired.status().IsInfeasible() && !fixed.empty()) {
     // Widen once: un-fix the largest-LP-value fixed candidates too, giving
     // the repair ILP room to trade quantity between tuples.
     info->widened = true;
@@ -162,7 +166,7 @@ Result<EvalResult> LpRoundingEvaluator::EvaluateWithInfo(
       if (lp.x[a] != lp.x[b]) return lp.x[a] > lp.x[b];
       return a < b;
     });
-    size_t take = std::min(options_.widen_candidates, by_value.size());
+    size_t take = std::min(kWidenCandidates, by_value.size());
     std::vector<size_t> wide_repair = repair;
     wide_repair.insert(wide_repair.end(), by_value.begin(),
                        by_value.begin() + static_cast<long>(take));

@@ -12,8 +12,8 @@
 //      fractional variables, where m is the tiny number of constraint rows;
 //   3. repair integrality by solving a "repair ILP" over just the
 //      fractional variables (constraint bounds shifted by the floored
-//      part), optionally widening the candidate set once if the first
-//      repair is infeasible.
+//      part), widening the candidate set once if the first repair is
+//      infeasible.
 //
 // The result is always a feasible package (or an honest infeasible/failure
 // status) whose objective is near the LP bound; the repair ILP has at most
@@ -29,15 +29,6 @@
 
 namespace paql::core {
 
-/// Rounding-specific knobs; the inherited `limits` budgets the repair ILP
-/// (tiny; defaults suffice).
-struct LpRoundingOptions : engine::ExecContext {
-  /// When the first repair ILP is infeasible, un-fix this many additional
-  /// integer-valued candidates (those with the largest LP values) and
-  /// retry once. 0 disables the widening retry.
-  size_t widen_candidates = 64;
-};
-
 /// Statistics specific to the rounding pipeline (also folded into
 /// EvalStats counters where they fit).
 struct LpRoundingInfo {
@@ -47,10 +38,11 @@ struct LpRoundingInfo {
 };
 
 /// Evaluates package queries by LP relaxation + rounding + ILP repair.
+/// `limits` budgets the repair ILP (tiny; defaults suffice).
 class LpRoundingEvaluator {
  public:
   explicit LpRoundingEvaluator(const relation::ColumnSource& table,
-                               LpRoundingOptions options = {});
+                               engine::ExecContext options = {});
 
   Result<EvalResult> Evaluate(const lang::PackageQuery& query) const;
   Result<EvalResult> Evaluate(const translate::CompiledQuery& query) const;
@@ -61,7 +53,7 @@ class LpRoundingEvaluator {
 
  private:
   const relation::ColumnSource* table_;
-  LpRoundingOptions options_;
+  engine::ExecContext options_;
 };
 
 }  // namespace paql::core

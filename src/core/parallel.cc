@@ -23,8 +23,7 @@ using translate::CompiledQuery;
 namespace {
 
 /// The evaluator's fan-out: the explicit num_threads override when set,
-/// otherwise the engine-level ExecContext::threads knob (satellite of the
-/// morsel-parallelism work: one setting controls the whole stack).
+/// otherwise the engine-level ExecContext::threads knob.
 int ResolveWorkers(const ParallelOptions& options) {
   int requested = options.num_threads > 0 ? options.num_threads
                                           : options.sketch_refine.threads;

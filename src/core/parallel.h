@@ -26,6 +26,11 @@
 // Both modes return packages that satisfy all query constraints; only the
 // objective may differ from the sequential algorithm's (each refine query
 // is locally optimal, and which local optima combine depends on order).
+//
+// The engine does not route to this evaluator: plain SKETCHREFINE already
+// spends ExecContext::threads on its scans and its branch-and-bound, and
+// on a 4-core host neither mode beat it at 40k Galaxy rows. The module
+// stays as the §4.5 ablation (bench/ablation_parallel) and its tests.
 #ifndef PAQL_CORE_PARALLEL_H_
 #define PAQL_CORE_PARALLEL_H_
 
@@ -50,12 +55,12 @@ struct ParallelOptions {
   ParallelMode mode = ParallelMode::kGroupParallel;
 
   /// Worker count override. 0 (the default) inherits the engine-level
-  /// knob — `sketch_refine.threads`, i.e. ExecContext::threads — so one
-  /// setting controls the whole stack; a positive value pins this
-  /// evaluator's fan-out regardless of the context (the planner's
-  /// parallel_threads escape hatch). For kOrderingRace the resolved count
-  /// is also the number of orderings raced. Workers are borrowed from the
-  /// shared process-wide pool (common/thread_pool.h), not spawned.
+  /// knob — `sketch_refine.threads`, i.e. ExecContext::threads; a
+  /// positive value pins this evaluator's fan-out regardless of the
+  /// context (how bench/ablation_parallel sweeps it). For kOrderingRace
+  /// the resolved count is also the number of orderings raced. Workers
+  /// are borrowed from the shared process-wide pool (common/
+  /// thread_pool.h), not spawned.
   int num_threads = 0;
 };
 

@@ -17,8 +17,18 @@ using relation::ColumnSource;
 using relation::Table;
 using translate::CompiledQuery;
 
+namespace {
+
+/// Dinkelbach iteration cap (convergence is finite but this guards
+/// pathological numerics). Typical instances converge in 2-5 iterations.
+constexpr int kMaxIterations = 64;
+/// |F(lambda)| below which lambda is accepted as the optimal ratio.
+constexpr double kTolerance = 1e-9;
+
+}  // namespace
+
 RatioObjectiveEvaluator::RatioObjectiveEvaluator(const ColumnSource& table,
-                                                 RatioObjectiveOptions options)
+                                                 engine::ExecContext options)
     : table_(&table), options_(std::move(options)) {}
 
 Result<EvalResult> RatioObjectiveEvaluator::Evaluate(
@@ -117,7 +127,7 @@ Result<EvalResult> RatioObjectiveEvaluator::Evaluate(
   // objective coefficients: the previous root basis stays primal feasible,
   // so each iteration warm-starts from it.
   ilp::IlpWarmStart warm;
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     if (options_.Cancelled()) {
       return Status::ResourceExhausted("evaluation cancelled");
     }
@@ -144,7 +154,7 @@ Result<EvalResult> RatioObjectiveEvaluator::Evaluate(
     PAQL_CHECK_MSG(q >= 1.0 - 1e-6, "denominator row violated");
     best_x = std::move(sol->x);
     double f = p - lambda * q;  // parametric optimum at current lambda
-    if (std::abs(f) <= options_.tolerance * (1.0 + std::abs(lambda))) {
+    if (std::abs(f) <= kTolerance * (1.0 + std::abs(lambda))) {
       break;  // lambda is the optimal ratio
     }
     lambda = p / q;

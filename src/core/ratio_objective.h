@@ -40,23 +40,14 @@
 
 namespace paql::core {
 
-/// Dinkelbach-specific knobs; the inherited `limits`/`branch_and_bound`
-/// budget each inner ILP solve (one per parametric iteration).
-struct RatioObjectiveOptions : engine::ExecContext {
-  /// Dinkelbach iteration cap (convergence is finite but this guards
-  /// pathological numerics). Typical instances converge in 2-5 iterations.
-  int max_iterations = 64;
-  /// |F(lambda)| below which lambda is accepted as the optimal ratio.
-  double tolerance = 1e-9;
-};
-
 /// Evaluates package queries whose objective is MINIMIZE/MAXIMIZE AVG(...).
 /// The rest of the query (WHERE / SUCH THAT / REPEAT) is unrestricted
-/// within PaQL's linear fragment.
+/// within PaQL's linear fragment. `limits`/`branch_and_bound` budget each
+/// inner ILP solve (one per parametric iteration).
 class RatioObjectiveEvaluator {
  public:
   explicit RatioObjectiveEvaluator(const relation::ColumnSource& table,
-                                   RatioObjectiveOptions options = {});
+                                   engine::ExecContext options = {});
 
   /// Returns the optimal package and its AVG objective value. Fails with
   /// kInvalidArgument when the query's objective is not a bare AVG call,
@@ -68,7 +59,7 @@ class RatioObjectiveEvaluator {
 
  private:
   const relation::ColumnSource* table_;
-  RatioObjectiveOptions options_;
+  engine::ExecContext options_;
 };
 
 }  // namespace paql::core

@@ -21,6 +21,12 @@ namespace {
 
 constexpr double kInf = lp::kInf;
 
+/// Cap on refine-query solves before giving up (guards the worst-case
+/// exponential backtracking): kRefineAttemptsPerGroup * m +
+/// kRefineAttemptsBase over a partitioning of m groups.
+constexpr int64_t kRefineAttemptsPerGroup = 10;
+constexpr int64_t kRefineAttemptsBase = 1000;
+
 /// Multiplicities (rounded) from an ILP solution over the first `n` vars.
 std::vector<int64_t> RoundMults(const std::vector<double>& x, size_t n) {
   std::vector<int64_t> out(n, 0);
@@ -61,10 +67,9 @@ class Driver {
     }
     stats_.translate_seconds += translate_watch.ElapsedSeconds();
 
-    max_attempts_ = options_.max_refine_attempts > 0
-                        ? options_.max_refine_attempts
-                        : static_cast<int64_t>(
-                              10 * partitioning_.num_groups() + 1000);
+    max_attempts_ = kRefineAttemptsPerGroup *
+                        static_cast<int64_t>(partitioning_.num_groups()) +
+                    kRefineAttemptsBase;
 
     NodeProblem root;
     root.table = &table_;

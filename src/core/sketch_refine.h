@@ -50,10 +50,6 @@ struct SketchRefineOptions : engine::ExecContext {
   /// Subproblems larger than this recurse into a nested sketch+refine
   /// (0 = never recurse; solve everything directly).
   size_t max_subproblem_size = 0;
-
-  /// Cap on refine-query solves before giving up (guards the worst-case
-  /// exponential backtracking). 0 = automatic: 10*m + 1000.
-  int64_t max_refine_attempts = 0;
 };
 
 /// Evaluates package queries with the SKETCHREFINE algorithm over a fixed

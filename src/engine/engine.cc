@@ -7,14 +7,17 @@
 
 #include "common/stopwatch.h"
 #include "common/str_util.h"
+#include "core/direct.h"
 #include "core/explain.h"
 #include "core/incremental.h"
-#include "partition/dynamic_update.h"
+#include "core/lp_rounding.h"
+#include "core/ratio_objective.h"
+#include "core/sketch_refine.h"
 #include "core/topk.h"
-#include "engine/evaluators.h"
 #include "lp/lp_format.h"
 #include "paql/normalize.h"
 #include "paql/parser.h"
+#include "partition/dynamic_update.h"
 #include "partition/partitioner.h"
 #include "relation/csv.h"
 #include "relation/disk_table.h"
@@ -28,6 +31,33 @@ using engine::Plan;
 using engine::Planner;
 using engine::QueryShape;
 using engine::Strategy;
+
+// ---------------------------------------------------------------------------
+// CompiledQuery
+// ---------------------------------------------------------------------------
+
+bool CompiledQuery::HasRatioObjective(const lang::PackageQuery& query) {
+  return query.objective.has_value() && query.objective->expr != nullptr &&
+         query.objective->expr->kind == lang::GlobalKind::kAgg &&
+         query.objective->expr->agg != nullptr &&
+         query.objective->expr->agg->func == relation::AggFunc::kAvg;
+}
+
+Result<CompiledQuery> CompiledQuery::Compile(
+    const lang::PackageQuery& query, const relation::Schema& schema,
+    const lang::ValidateOptions& validate) {
+  const bool ratio = HasRatioObjective(query);
+  // Ratio objectives have no linear ILP translation (the validator rejects
+  // them); translate the constraints-only query instead and let the
+  // Dinkelbach evaluator patch its parametric objective in per iteration.
+  lang::PackageQuery to_translate = query.Clone();
+  if (ratio) to_translate.objective.reset();
+  PAQL_RETURN_IF_ERROR(lang::ValidateQuery(to_translate, schema, validate));
+  PAQL_ASSIGN_OR_RETURN(
+      translate::CompiledQuery ilp,
+      translate::CompiledQuery::Compile(to_translate, schema));
+  return CompiledQuery{query.Clone(), std::move(ilp), ratio};
+}
 
 // ---------------------------------------------------------------------------
 // Engine
@@ -55,12 +85,31 @@ Result<Session> Engine::Open(std::shared_ptr<const relation::ColumnSource> table
 
 namespace {
 
-/// Copies the ExecContext toggles every session entry point must report
-/// identically (Execute, ExecuteTopK, PlanQuery, Explain): the solver
-/// warm-start mode and the worker count.
-void FillPlanExecFlags(const ExecContext& exec, Plan* plan) {
-  plan->warm_start = exec.warm_start;
-  plan->exec_threads = exec.EffectiveThreads();
+/// Run the core evaluator `plan` names over `table`. `partitioning` is the
+/// offline partitioning of a SKETCHREFINE plan (ignored otherwise).
+Result<core::EvalResult> EvaluatePlan(
+    const Plan& plan, const CompiledQuery& query,
+    const relation::ColumnSource& table,
+    const partition::Partitioning* partitioning, const ExecContext& exec) {
+  switch (plan.strategy) {
+    case Strategy::kDirect:
+      return core::DirectEvaluator(table, exec).Evaluate(query.ilp);
+    case Strategy::kSketchRefine: {
+      core::SketchRefineOptions options;
+      static_cast<ExecContext&>(options) = exec;
+      return core::SketchRefineEvaluator(table, *partitioning, options)
+          .Evaluate(query.ilp);
+    }
+    case Strategy::kLpRounding:
+      return core::LpRoundingEvaluator(table, exec).Evaluate(query.ilp);
+    case Strategy::kRatioObjective:
+      // The Dinkelbach evaluator re-derives its parametric objective from
+      // the AST; the constraints-only `ilp` artifact is not what it solves.
+      return core::RatioObjectiveEvaluator(table, exec).Evaluate(query.ast);
+    case Strategy::kAuto:
+      break;
+  }
+  return Status::Internal("planner returned no executable strategy");
 }
 
 
@@ -341,68 +390,26 @@ std::string Session::ArtifactKey(const ResolvedQuery& resolved) const {
   // the three sections can never collide by concatenation.
   os << resolved.table_name << '\x1F' << resolved.normalized_text << '\x1F'
      << engine::StrategyName(p.force) << '|' << p.direct_row_threshold << '|'
-     << p.parallel_threads << '|' << p.partition_size_threshold;
+     << p.partition_size_threshold;
   for (const auto& attr : p.partition_attributes) os << '|' << attr;
   return os.str();
 }
 
-Result<std::unique_ptr<engine::PackageEvaluator>> Session::MakeStrategy(
-    const ResolvedQuery& resolved, Plan* plan,
-    std::shared_ptr<const partition::Partitioning> reuse_partitioning,
-    std::shared_ptr<const partition::Partitioning>* used_partitioning) {
-  using engine::DirectStrategy;
-  using engine::LpRoundingStrategy;
-  using engine::ParallelSketchRefineStrategy;
-  using engine::RatioObjectiveStrategy;
-  using engine::SketchRefineStrategy;
-
-  switch (plan->strategy) {
-    case Strategy::kDirect:
-      return std::unique_ptr<engine::PackageEvaluator>(
-          new DirectStrategy(resolved.table));
-    case Strategy::kLpRounding:
-      return std::unique_ptr<engine::PackageEvaluator>(
-          new LpRoundingStrategy(resolved.table));
-    case Strategy::kRatioObjective:
-      return std::unique_ptr<engine::PackageEvaluator>(
-          new RatioObjectiveStrategy(resolved.table));
-    case Strategy::kSketchRefine: {
-      std::shared_ptr<const partition::Partitioning> partitioning =
-          std::move(reuse_partitioning);
-      if (partitioning != nullptr) {
-        plan->partitioning_reused = true;
-        plan->partition_groups = partitioning->num_groups();
-      } else {
-        PAQL_ASSIGN_OR_RETURN(partitioning, PartitioningFor(resolved, plan));
-      }
-      if (used_partitioning != nullptr) *used_partitioning = partitioning;
-      return std::unique_ptr<engine::PackageEvaluator>(
-          new SketchRefineStrategy(resolved.table, std::move(partitioning)));
-    }
-    case Strategy::kParallelSketchRefine: {
-      std::shared_ptr<const partition::Partitioning> partitioning =
-          std::move(reuse_partitioning);
-      if (partitioning != nullptr) {
-        plan->partitioning_reused = true;
-        plan->partition_groups = partitioning->num_groups();
-      } else {
-        PAQL_ASSIGN_OR_RETURN(partitioning, PartitioningFor(resolved, plan));
-      }
-      if (used_partitioning != nullptr) *used_partitioning = partitioning;
-      // An explicit planner grant pins the fan-out; 0 lets the evaluator
-      // inherit ExecContext::threads (the plan reports the resolved count
-      // either way).
-      int threads = std::max(0, plan->threads);
-      plan->threads =
-          threads > 0 ? threads : options_.exec.EffectiveThreads();
-      return std::unique_ptr<engine::PackageEvaluator>(
-          new ParallelSketchRefineStrategy(resolved.table,
-                                           std::move(partitioning), threads));
-    }
-    case Strategy::kAuto:
-      break;
+Plan Session::DecidePlan(const relation::ColumnSource& table,
+                         const QueryShape& shape,
+                         const std::optional<Plan>& cached) const {
+  Plan plan;
+  if (cached.has_value()) {
+    plan = *cached;
+    plan.plan_cached = true;
+  } else {
+    plan = Planner(options_.planner).Decide(table, shape);
   }
-  return Status::Internal("planner returned no executable strategy");
+  // Every entry point reports the ExecContext it runs under; a cached plan
+  // may come from a session with other settings sharing the cache.
+  plan.warm_start = options_.exec.warm_start;
+  plan.exec_threads = options_.exec.EffectiveThreads();
+  return plan;
 }
 
 // ---------------------------------------------------------------------------
@@ -427,23 +434,21 @@ Result<QueryResult> Session::Execute(std::string_view paql) {
     cached = cache_->Lookup(artifact_key, resolved.table);
   }
 
-  QueryShape shape;
-  shape.ratio_objective = compiled.ratio_objective;
-  shape.joined_from = resolved.joined_from;
-  if (cached.has_value() && cached->plan.has_value()) {
-    out.plan = *cached->plan;
-    out.plan.plan_cached = true;
-  } else {
-    Planner planner(options_.planner);
-    out.plan = planner.Decide(*resolved.table, shape);
+  out.plan = DecidePlan(*resolved.table,
+                        QueryShape{.ratio_objective = compiled.ratio_objective,
+                                   .joined_from = resolved.joined_from},
+                        cached.has_value() ? cached->plan : std::nullopt);
+  std::shared_ptr<const partition::Partitioning> partitioning;
+  if (out.plan.uses_partitioning()) {
+    if (cached.has_value() && cached->partitioning != nullptr) {
+      partitioning = cached->partitioning;
+      out.plan.partitioning_reused = true;
+      out.plan.partition_groups = partitioning->num_groups();
+    } else {
+      PAQL_ASSIGN_OR_RETURN(partitioning,
+                            PartitioningFor(resolved, &out.plan));
+    }
   }
-  FillPlanExecFlags(options_.exec, &out.plan);
-  std::shared_ptr<const partition::Partitioning> used_partitioning;
-  PAQL_ASSIGN_OR_RETURN(
-      std::unique_ptr<engine::PackageEvaluator> strategy,
-      MakeStrategy(resolved, &out.plan,
-                   cached.has_value() ? cached->partitioning : nullptr,
-                   &used_partitioning));
   out.timings.plan_seconds = plan_watch.ElapsedSeconds();
 
   // The warm carrier: seeded from the cache on a hit, and — hit or miss —
@@ -462,7 +467,8 @@ Result<QueryResult> Session::Execute(std::string_view paql) {
   exec.warm_basis = &warm_local;
 
   Stopwatch eval_watch;
-  auto result = strategy->Evaluate(compiled, exec);
+  auto result = EvaluatePlan(out.plan, compiled, *resolved.table,
+                             partitioning.get(), exec);
   out.timings.evaluate_seconds = eval_watch.ElapsedSeconds();
   // Drain the storage-fault channel before trusting the outcome: the scan
   // accessors have no error path, so an out-of-core source that hit
@@ -508,7 +514,7 @@ Result<QueryResult> Session::Execute(std::string_view paql) {
     artifacts.plan = out.plan;
     artifacts.plan->plan_cached = false;
     artifacts.plan->warm_cached = false;
-    artifacts.partitioning = used_partitioning;
+    artifacts.partitioning = std::move(partitioning);
     if (warm_local.root_basis.valid) {
       artifacts.warm_basis = std::move(warm_local.root_basis);
     }
@@ -532,12 +538,9 @@ Result<std::vector<QueryResult>> Session::ExecuteTopK(std::string_view paql,
   }
 
   Stopwatch plan_watch;
-  QueryShape shape;
-  shape.joined_from = resolved.joined_from;
-  shape.topk = k;
-  Planner planner(options_.planner);
-  Plan plan = planner.Decide(*resolved.table, shape);
-  FillPlanExecFlags(options_.exec, &plan);
+  Plan plan = DecidePlan(
+      *resolved.table,
+      QueryShape{.joined_from = resolved.joined_from, .topk = k});
   timings.plan_seconds = plan_watch.ElapsedSeconds();
 
   const auto* in_memory =
@@ -574,46 +577,35 @@ Result<std::vector<QueryResult>> Session::ExecuteTopK(std::string_view paql,
   return out;
 }
 
-Result<Plan> Session::PlanQuery(std::string_view paql) {
+Result<Session::PlannedQuery> Session::PlanStatement(std::string_view paql) {
   PAQL_ASSIGN_OR_RETURN(ResolvedQuery resolved, Resolve(paql, nullptr));
   PAQL_ASSIGN_OR_RETURN(CompiledQuery compiled,
                         CompileResolved(resolved, nullptr));
-  QueryShape shape;
-  shape.ratio_objective = compiled.ratio_objective;
-  shape.joined_from = resolved.joined_from;
-  Planner planner(options_.planner);
-  Plan plan = planner.Decide(*resolved.table, shape);
-  FillPlanExecFlags(options_.exec, &plan);
+  Plan plan = DecidePlan(*resolved.table,
+                         QueryShape{.ratio_objective = compiled.ratio_objective,
+                                    .joined_from = resolved.joined_from});
+  std::shared_ptr<const partition::Partitioning> partitioning;
   if (plan.uses_partitioning()) {
-    PAQL_ASSIGN_OR_RETURN(auto partitioning,
-                          PartitioningFor(resolved, &plan));
-    (void)partitioning;
+    PAQL_ASSIGN_OR_RETURN(partitioning, PartitioningFor(resolved, &plan));
   }
-  return plan;
+  return PlannedQuery{std::move(resolved), std::move(compiled),
+                      std::move(plan), std::move(partitioning)};
+}
+
+Result<Plan> Session::PlanQuery(std::string_view paql) {
+  PAQL_ASSIGN_OR_RETURN(PlannedQuery planned, PlanStatement(paql));
+  return std::move(planned.plan);
 }
 
 Result<std::string> Session::Explain(std::string_view paql) {
-  PAQL_ASSIGN_OR_RETURN(ResolvedQuery resolved, Resolve(paql, nullptr));
-  PAQL_ASSIGN_OR_RETURN(CompiledQuery compiled,
-                        CompileResolved(resolved, nullptr));
-
-  QueryShape shape;
-  shape.ratio_objective = compiled.ratio_objective;
-  shape.joined_from = resolved.joined_from;
-  Planner planner(options_.planner);
-  Plan plan = planner.Decide(*resolved.table, shape);
-  FillPlanExecFlags(options_.exec, &plan);
-
+  PAQL_ASSIGN_OR_RETURN(PlannedQuery planned, PlanStatement(paql));
+  const translate::CompiledQuery& ilp = planned.compiled.ilp;
+  const relation::ColumnSource& table = *planned.resolved.table;
   std::ostringstream os;
-  if (plan.uses_partitioning()) {
-    PAQL_ASSIGN_OR_RETURN(auto partitioning, PartitioningFor(resolved, &plan));
-    os << plan.Explain() << "\n"
-       << core::ExplainSketchRefine(compiled.ilp, *resolved.table,
-                                    *partitioning);
-  } else {
-    os << plan.Explain() << "\n"
-       << core::ExplainDirect(compiled.ilp, *resolved.table);
-  }
+  os << planned.plan.Explain() << "\n"
+     << (planned.partitioning != nullptr
+             ? core::ExplainSketchRefine(ilp, table, *planned.partitioning)
+             : core::ExplainDirect(ilp, table));
   return os.str();
 }
 
@@ -778,11 +770,10 @@ void Session::RepairStandingQuery(
       PAQL_ASSIGN_OR_RETURN(CompiledQuery compiled,
                             CompileResolved(resolved, nullptr));
       if (compiled.ratio_objective) return false;
-      QueryShape shape;
-      shape.ratio_objective = compiled.ratio_objective;
       Planner planner(options_.planner);
-      Plan plan = planner.Decide(*resolved.table, shape);
-      if (!plan.uses_partitioning()) return false;
+      if (!planner.Decide(*resolved.table, QueryShape{}).uses_partitioning()) {
+        return false;
+      }
       std::vector<std::string> attributes =
           planner.PartitionAttributes(*resolved.table);
       const std::vector<uint32_t>* dirty_groups = nullptr;

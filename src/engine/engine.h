@@ -11,9 +11,10 @@
 // Execute runs the whole pipeline — parse -> resolve/join FROM ->
 // validate -> compile (PaQL -> ILP) -> plan -> evaluate — and the planner,
 // not the caller, chooses between exact DIRECT and scalable SKETCHREFINE
-// (building or reusing a partitioning as needed). The low-level strategy
-// classes in core/ remain available for specialized callers, but every
-// example and bench in this repo goes through the facade.
+// (building or reusing a partitioning as needed). Each plan maps onto one
+// call of a core/ evaluator (DirectEvaluator, SketchRefineEvaluator,
+// LpRoundingEvaluator, RatioObjectiveEvaluator) under the session's
+// ExecContext; those classes remain available for specialized callers.
 #ifndef PAQL_ENGINE_ENGINE_H_
 #define PAQL_ENGINE_ENGINE_H_
 
@@ -29,10 +30,10 @@
 
 #include "core/from_clause.h"
 #include "core/package.h"
-#include "engine/evaluator.h"
 #include "engine/exec_context.h"
 #include "engine/planner.h"
 #include "engine/query_cache.h"
+#include "paql/ast.h"
 #include "paql/validator.h"
 #include "partition/partitioner.h"
 #include "relation/block_cache.h"
@@ -40,8 +41,41 @@
 #include "relation/table.h"
 #include "relation/table_version.h"
 #include "relation/wal.h"
+#include "translate/compiled_query.h"
 
 namespace paql {
+
+namespace engine {
+
+/// The engine's prepared-statement artifact: one validated PaQL query,
+/// bound to a schema, with its ILP translation ready.
+///
+/// For ratio (AVG) objectives — which have no linear ILP translation — the
+/// `ilp` artifact is compiled from the constraints-only query and
+/// `ratio_objective` is set; the Dinkelbach evaluator re-derives the
+/// parametric objective from `ast` at evaluation time.
+struct CompiledQuery {
+  /// The (single-relation, post join-materialization) query text as parsed.
+  lang::PackageQuery ast;
+  /// PaQL -> ILP translation artifacts over `ast` (constraints only when
+  /// `ratio_objective`).
+  translate::CompiledQuery ilp;
+  /// MINIMIZE/MAXIMIZE AVG(...): route to the ratio-objective strategy.
+  bool ratio_objective = false;
+
+  /// Validate `query` against `schema` (under `validate`) and translate
+  /// it. Fails with the validator's error on malformed or unsupported
+  /// queries.
+  static Result<CompiledQuery> Compile(
+      const lang::PackageQuery& query, const relation::Schema& schema,
+      const lang::ValidateOptions& validate = {});
+
+  /// True when `query`'s objective is a bare AVG aggregate (the shape the
+  /// Dinkelbach evaluator accepts).
+  static bool HasRatioObjective(const lang::PackageQuery& query);
+};
+
+}  // namespace engine
 
 /// Everything a session lets you tune. Defaults are sensible: unlimited
 /// solver budgets, auto strategy selection, tau = 10% of the table.
@@ -279,21 +313,29 @@ class Session {
   Result<engine::CompiledQuery> CompileResolved(
       const ResolvedQuery& resolved, engine::PhaseTimings* timings);
 
+  /// The plan every entry point reports for a query of `shape` over
+  /// `table`: `cached` (a cross-query cache hit, marked plan_cached) or
+  /// the planner's decision, with the ExecContext warm-start mode and
+  /// worker count filled in.
+  engine::Plan DecidePlan(const relation::ColumnSource& table,
+                          const engine::QueryShape& shape,
+                          const std::optional<engine::Plan>& cached =
+                              std::nullopt) const;
+
   /// Look up (or build and cache) the partitioning a SKETCHREFINE plan
   /// needs, and record its details in `plan`.
   Result<std::shared_ptr<const partition::Partitioning>> PartitioningFor(
       const ResolvedQuery& resolved, engine::Plan* plan);
 
-  /// Construct the strategy adapter `plan` names. `reuse_partitioning`
-  /// (may be null) short-circuits the partitioning lookup — the cross-query
-  /// cache hit path; `used_partitioning` (may be null) receives whichever
-  /// partitioning the strategy was built over, for storing back.
-  Result<std::unique_ptr<engine::PackageEvaluator>> MakeStrategy(
-      const ResolvedQuery& resolved, engine::Plan* plan,
-      std::shared_ptr<const partition::Partitioning> reuse_partitioning =
-          nullptr,
-      std::shared_ptr<const partition::Partitioning>* used_partitioning =
-          nullptr);
+  /// One statement resolved, compiled and planned, with the partitioning
+  /// a SKETCHREFINE plan would use (null for the other strategies).
+  struct PlannedQuery {
+    ResolvedQuery resolved;
+    engine::CompiledQuery compiled;
+    engine::Plan plan;
+    std::shared_ptr<const partition::Partitioning> partitioning;
+  };
+  Result<PlannedQuery> PlanStatement(std::string_view paql);
 
   /// The cross-query cache key for one resolved statement: table identity,
   /// canonical text, and a planner-options fingerprint (two sessions that

@@ -1,16 +1,14 @@
 // ExecContext: the execution settings shared by every evaluation strategy.
 //
-// Before the engine facade existed, each evaluator carried its own options
-// struct with copy-pasted solver budgets (`DirectOptions::limits`,
-// `SketchRefineOptions::subproblem_limits`, `LpRoundingOptions::
-// repair_limits`, ...), branch-and-bound settings, seeds, and cancellation
-// flags. ExecContext is the single home for those shared fields; the
-// per-strategy options structs in core/ now derive from it and add only
-// their strategy-specific knobs.
+// Solver budgets, branch-and-bound settings, the seed, cancellation and
+// the worker count live here once. DIRECT, LP rounding and the ratio
+// objective evaluator take an ExecContext as is; the options structs that
+// remain in core/ (SKETCHREFINE, top-k) derive from it and add only their
+// strategy-specific knobs.
 //
-// Header-only on purpose: core/ includes this file from its options structs
-// while the engine *library* (planner, adapters, facade) links against
-// core/ — keeping the dependency arrow between the two libraries acyclic.
+// Header-only on purpose: core/ includes this file from its evaluators
+// while the engine *library* (planner, facade) links against core/ —
+// keeping the dependency arrow between the two libraries acyclic.
 #ifndef PAQL_ENGINE_EXEC_CONTEXT_H_
 #define PAQL_ENGINE_EXEC_CONTEXT_H_
 

@@ -4,11 +4,11 @@
 // statement, the system decides how to evaluate it. The planner encodes
 // that decision: exact DIRECT while the base relation is small enough for
 // one whole-problem ILP, SKETCHREFINE (over an offline partitioning) past
-// a configurable size threshold, the Dinkelbach parametric strategy for
-// ratio (AVG) objectives, and a parallel SKETCHREFINE variant when the
-// caller grants worker threads. An explicit override skips the heuristics
+// a configurable size threshold, and the Dinkelbach parametric strategy
+// for ratio (AVG) objectives. An explicit override skips the heuristics
 // entirely, and every plan carries an Explain() report saying what was
-// chosen and why.
+// chosen and why. Worker threads are not a routing input: every strategy
+// runs with ExecContext::threads.
 #ifndef PAQL_ENGINE_PLANNER_H_
 #define PAQL_ENGINE_PLANNER_H_
 
@@ -25,7 +25,6 @@ enum class Strategy {
   kAuto,                   // let the planner decide (PlannerOptions only)
   kDirect,                 // exact ILP over the full base relation (§3.2)
   kSketchRefine,           // sketch + refine over a partitioning (§4)
-  kParallelSketchRefine,   // §4.5 parallel variant
   kLpRounding,             // LP relaxation + rounding baseline (§6)
   kRatioObjective,         // Dinkelbach for AVG objectives
 };
@@ -42,10 +41,6 @@ struct PlannerOptions {
   /// ones are solved exactly with DIRECT. The default mirrors the scale at
   /// which the repo's benches first observe DIRECT's solver failures.
   size_t direct_row_threshold = 20'000;
-
-  /// Worker threads granted to evaluation. > 1 upgrades the SKETCHREFINE
-  /// choice to the parallel variant.
-  int parallel_threads = 0;
 
   /// Partitioning policy for SKETCHREFINE plans. Empty attributes = all
   /// numeric columns of the table (the paper's "workload attributes"
@@ -96,11 +91,9 @@ struct Plan {
   size_t partition_size_threshold = 0;  // tau
   size_t partition_groups = 0;
   bool partitioning_reused = false;     // cache hit (vs built for this query)
-  int threads = 0;                      // parallel variant only
 
   bool uses_partitioning() const {
-    return strategy == Strategy::kSketchRefine ||
-           strategy == Strategy::kParallelSketchRefine;
+    return strategy == Strategy::kSketchRefine;
   }
 
   /// Multi-line human-readable report (strategy, reason, thresholds,

@@ -128,6 +128,90 @@ bool GetValue(const uint8_t* data, size_t size, size_t* at, Value* v) {
   }
 }
 
+std::vector<uint8_t> SegmentHeader() {
+  std::vector<uint8_t> header(kWalMagic, kWalMagic + sizeof(kWalMagic));
+  PutScalar<uint32_t>(&header, kWalVersion);
+  return header;
+}
+
+Result<std::vector<uint8_t>> ReadSegment(Env* env, const std::string& path) {
+  PAQL_ASSIGN_OR_RETURN(const uint64_t file_size, env->GetFileSize(path));
+  PAQL_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessFile> file,
+                        env->NewRandomAccessFile(path));
+  std::vector<uint8_t> bytes(file_size);
+  PAQL_RETURN_IF_ERROR(file->ReadExact(
+      0, file_size, reinterpret_cast<char*>(bytes.data())));
+  return bytes;
+}
+
+/// What the frame walk found in one segment.
+struct SegmentWalk {
+  /// Bytes of the intact prefix: the header plus every intact record (0
+  /// when the header itself is incomplete).
+  size_t intact_bytes = 0;
+  /// Why the walk stopped before the end of the segment (an incomplete or
+  /// checksum-failing frame, or an incomplete header); null on a clean end.
+  const char* torn = nullptr;
+};
+
+/// The one parser of segment bytes, shared by replay and the writer's
+/// torn-tail repair. Checks the header, then walks the frames in order,
+/// handing each intact record to `apply` (when set; it is decoded only
+/// then) and counting it in `stats` (when set), and stops at the first
+/// incomplete or checksum-failing frame. A bad magic, an unknown version,
+/// or a checksummed record that does not decode is Corruption.
+Result<SegmentWalk> WalkSegment(
+    const std::string& path, const std::vector<uint8_t>& bytes,
+    const std::function<Status(const WalRecord&)>& apply,
+    WalReplayStats* stats) {
+  SegmentWalk walk;
+  if (bytes.size() < kSegmentHeaderBytes) {
+    walk.torn = "truncated header";
+    return walk;
+  }
+  if (std::memcmp(bytes.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
+    return Status::Corruption(StrCat("wal ", path, ": bad magic"));
+  }
+  uint32_t version = 0;
+  size_t at = sizeof(kWalMagic);
+  (void)GetScalar(bytes.data(), bytes.size(), &at, &version);
+  if (version != kWalVersion) {
+    return Status::Corruption(
+        StrCat("wal ", path, ": unsupported version ", version));
+  }
+  if (stats != nullptr) ++stats->segments;
+  while (at < bytes.size()) {
+    walk.intact_bytes = at;
+    uint32_t masked_crc = 0, len = 0;
+    if (at + kFrameBytes > bytes.size()) {
+      walk.torn = "truncated frame";
+      return walk;
+    }
+    (void)GetScalar(bytes.data(), bytes.size(), &at, &masked_crc);
+    (void)GetScalar(bytes.data(), bytes.size(), &at, &len);
+    if (len > kMaxRecordBytes || at + len > bytes.size()) {
+      walk.torn = "truncated record";
+      return walk;
+    }
+    if (UnmaskCrc32(masked_crc) != Crc32(bytes.data() + at, len)) {
+      walk.torn = "record checksum mismatch";
+      return walk;
+    }
+    if (apply) {
+      PAQL_ASSIGN_OR_RETURN(WalRecord record,
+                            DecodeWalRecord(bytes.data() + at, len));
+      PAQL_RETURN_IF_ERROR(apply(record));
+    }
+    at += len;
+    if (stats != nullptr) {
+      stats->bytes += kFrameBytes + len;
+      ++stats->records;
+    }
+  }
+  walk.intact_bytes = at;
+  return walk;
+}
+
 }  // namespace
 
 std::vector<uint8_t> EncodeWalRecord(const WalRecord& record) {
@@ -268,9 +352,7 @@ Status WalWriter::OpenSegmentLocked() {
   const std::string path = StrCat(options_.dir, "/", SegmentName(seq));
   PAQL_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
                         env_->NewWritableFile(path));
-  std::vector<uint8_t> header;
-  header.insert(header.end(), kWalMagic, kWalMagic + sizeof(kWalMagic));
-  PutScalar<uint32_t>(&header, kWalVersion);
+  const std::vector<uint8_t> header = SegmentHeader();
   PAQL_RETURN_IF_ERROR(file->Append(header.data(), header.size()));
   file_ = std::move(file);
   seq_ = seq;
@@ -280,9 +362,39 @@ Status WalWriter::OpenSegmentLocked() {
   return Status::OK();
 }
 
+Status WalWriter::RepairTornTailLocked() {
+  if (seq_ == 0) return Status::OK();  // an empty log has no tail
+  const std::string path = StrCat(options_.dir, "/", SegmentName(seq_));
+  PAQL_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadSegment(env_, path));
+  PAQL_ASSIGN_OR_RETURN(SegmentWalk walk,
+                        WalkSegment(path, bytes, nullptr, nullptr));
+  if (walk.torn == nullptr) return Status::OK();
+  // Cut the segment back to its intact prefix (a bare header when the
+  // header itself was torn) through a synced temp file renamed over it,
+  // so a crash mid-repair leaves either the torn or the repaired segment.
+  // The temp name is not a segment name, so replay never reads it.
+  if (walk.intact_bytes == 0) {
+    bytes = SegmentHeader();
+  } else {
+    bytes.resize(walk.intact_bytes);
+  }
+  const std::string temp = StrCat(path, ".repair");
+  PAQL_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
+                        env_->NewWritableFile(temp));
+  PAQL_RETURN_IF_ERROR(file->Append(bytes.data(), bytes.size()));
+  PAQL_RETURN_IF_ERROR(file->Sync());
+  PAQL_RETURN_IF_ERROR(file->Close());
+  return env_->RenameFile(temp, path);
+}
+
 Status WalWriter::Append(const WalRecord& record) {
   std::lock_guard<std::mutex> lock(mu_);
   if (closed_) return Status::Internal("wal: writer is closed");
+  PAQL_RETURN_IF_ERROR(rotation_error_);
+  if (!tail_repaired_) {
+    PAQL_RETURN_IF_ERROR(RepairTornTailLocked());
+    tail_repaired_ = true;
+  }
   if (file_ == nullptr) PAQL_RETURN_IF_ERROR(OpenSegmentLocked());
   const std::vector<uint8_t> payload = EncodeWalRecord(record);
   std::vector<uint8_t> frame;
@@ -316,8 +428,11 @@ Status WalWriter::Append(const WalRecord& record) {
       break;
   }
   // Rotation closes the full segment; the next Append opens its successor.
+  // The record is in the log by now, so it is reported appended whatever
+  // the rotation does: a failed sync or close of the full segment fails
+  // every later call instead, before it writes anything.
   if (segment_bytes_ >= options_.segment_bytes) {
-    PAQL_RETURN_IF_ERROR(CloseSegmentLocked());
+    rotation_error_ = CloseSegmentLocked();
   }
   return Status::OK();
 }
@@ -325,6 +440,7 @@ Status WalWriter::Append(const WalRecord& record) {
 Status WalWriter::Sync() {
   std::lock_guard<std::mutex> lock(mu_);
   if (closed_) return Status::Internal("wal: writer is closed");
+  PAQL_RETURN_IF_ERROR(rotation_error_);
   if (file_ == nullptr) return Status::OK();
   PAQL_RETURN_IF_ERROR(file_->Sync());
   ++syncs_;
@@ -335,6 +451,7 @@ Status WalWriter::Sync() {
 Status WalWriter::Close() {
   std::lock_guard<std::mutex> lock(mu_);
   closed_ = true;
+  PAQL_RETURN_IF_ERROR(rotation_error_);
   return CloseSegmentLocked();
 }
 
@@ -365,72 +482,20 @@ Result<WalReplayStats> ReplayWal(
   PAQL_ASSIGN_OR_RETURN(std::vector<uint64_t> seqs,
                         ListSegments(env, options.dir));
   for (size_t s = 0; s < seqs.size(); ++s) {
-    const bool last_segment = s + 1 == seqs.size();
     const std::string path =
         StrCat(options.dir, "/", SegmentName(seqs[s]));
-    PAQL_ASSIGN_OR_RETURN(const uint64_t file_size, env->GetFileSize(path));
-    PAQL_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessFile> file,
-                          env->NewRandomAccessFile(path));
-    // A segment too small for its header: torn at creation time. Legal
-    // only as the final segment (the crash that tore it ended the log).
-    if (file_size < kSegmentHeaderBytes) {
-      if (last_segment) {
-        stats.torn_tail = true;
-        break;
+    PAQL_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadSegment(env, path));
+    PAQL_ASSIGN_OR_RETURN(SegmentWalk walk,
+                          WalkSegment(path, bytes, apply, &stats));
+    if (walk.torn != nullptr) {
+      // The crash signature: an incomplete or checksum-failing final
+      // record (or header). Everything before it is intact — stop cleanly.
+      // Anywhere but the final segment it is real corruption.
+      if (s + 1 < seqs.size()) {
+        return Status::Corruption(StrCat("wal ", path, ": ", walk.torn));
       }
-      return Status::Corruption(StrCat("wal ", path, ": truncated header"));
+      stats.torn_tail = true;
     }
-    std::vector<uint8_t> bytes(file_size);
-    PAQL_RETURN_IF_ERROR(file->ReadExact(
-        0, file_size, reinterpret_cast<char*>(bytes.data())));
-    if (std::memcmp(bytes.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
-      return Status::Corruption(StrCat("wal ", path, ": bad magic"));
-    }
-    uint32_t version = 0;
-    size_t at = sizeof(kWalMagic);
-    (void)GetScalar(bytes.data(), bytes.size(), &at, &version);
-    if (version != kWalVersion) {
-      return Status::Corruption(
-          StrCat("wal ", path, ": unsupported version ", version));
-    }
-    ++stats.segments;
-
-    while (at < bytes.size()) {
-      auto torn = [&](const char* what) -> Status {
-        if (last_segment) {
-          // The crash signature: an incomplete or checksum-failing final
-          // record. Everything before it is intact — stop cleanly.
-          stats.torn_tail = true;
-          at = bytes.size();
-          return Status::OK();
-        }
-        return Status::Corruption(StrCat("wal ", path, ": ", what));
-      };
-      uint32_t masked_crc = 0, len = 0;
-      if (at + kFrameBytes > bytes.size()) {
-        PAQL_RETURN_IF_ERROR(torn("truncated frame"));
-        continue;
-      }
-      (void)GetScalar(bytes.data(), bytes.size(), &at, &masked_crc);
-      (void)GetScalar(bytes.data(), bytes.size(), &at, &len);
-      if (len > kMaxRecordBytes || at + len > bytes.size()) {
-        at -= kFrameBytes;
-        PAQL_RETURN_IF_ERROR(torn("truncated record"));
-        continue;
-      }
-      if (UnmaskCrc32(masked_crc) != Crc32(bytes.data() + at, len)) {
-        at -= kFrameBytes;
-        PAQL_RETURN_IF_ERROR(torn("record checksum mismatch"));
-        continue;
-      }
-      PAQL_ASSIGN_OR_RETURN(WalRecord record,
-                            DecodeWalRecord(bytes.data() + at, len));
-      at += len;
-      stats.bytes += kFrameBytes + len;
-      ++stats.records;
-      PAQL_RETURN_IF_ERROR(apply(record));
-    }
-    if (stats.torn_tail) break;
   }
   return stats;
 }

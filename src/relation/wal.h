@@ -27,9 +27,9 @@
 // helpers as the PQB1 block store (relation/coding.h). A record is
 // appended with a single write, so a crash tears at most the tail of the
 // last segment — replay treats an incomplete or CRC-failing tail as the
-// clean end of the log (prefix durability). A CRC failure in any
-// *non-final* segment is real corruption and fails recovery with a
-// structured error.
+// clean end of the log (prefix durability), and the next writer cuts that
+// tail off before it appends. A CRC failure in any *non-final* segment is
+// real corruption and fails recovery with a structured error.
 //
 // Sync policy decides the durability/throughput trade:
 //   kAlways  fsync after every record — a batch acked is a batch durable;
@@ -99,9 +99,12 @@ struct WalRecord {
 /// lock is a backstop). Never appends into a pre-existing segment: the
 /// first Append after Open starts a fresh segment after the highest
 /// existing one, so a recovered process cannot disturb the torn-tail
-/// analysis of old files. Segments open lazily, on the first record they
-/// hold: a writer that never appends leaves no file behind, and rotation
-/// does not leave an empty segment at the end of the log.
+/// analysis of old files. Before its first append the writer rewrites a
+/// torn final segment to its intact prefix (the tail replay skipped), so
+/// that segment stays readable once it is no longer final. Segments open
+/// lazily, on the first record they hold: a writer that never appends
+/// leaves no file behind, and rotation does not leave an empty segment at
+/// the end of the log.
 class WalWriter {
  public:
   static Result<std::unique_ptr<WalWriter>> Open(const WalOptions& options);
@@ -112,7 +115,10 @@ class WalWriter {
 
   /// Serialize + append one record; syncs per the policy. On any error
   /// the record must be considered not durable (the caller fails the
-  /// batch; a torn prefix on disk is handled by replay).
+  /// batch; a torn prefix on disk is handled by replay). A record that
+  /// reached the log is reported appended even when the rotation after it
+  /// fails; that rotation error then fails every later Append, Sync and
+  /// Close before it writes anything.
   Status Append(const WalRecord& record);
 
   /// Force an fsync of the current segment now (a no-op while no segment
@@ -133,6 +139,9 @@ class WalWriter {
 
   Status OpenSegmentLocked();
   Status CloseSegmentLocked();
+  /// Rewrite the pre-existing final segment to its intact prefix when its
+  /// tail is torn (a no-op for an intact or absent log).
+  Status RepairTornTailLocked();
 
   WalOptions options_;
   Env* env_ = nullptr;
@@ -140,6 +149,8 @@ class WalWriter {
   mutable std::mutex mu_;
   std::unique_ptr<WritableFile> file_;  // null until the next Append
   bool closed_ = false;
+  bool tail_repaired_ = false;   // RepairTornTailLocked has succeeded
+  Status rotation_error_;        // sticky: a failed rotation ends the writer
   uint64_t seq_ = 0;             // current segment sequence number
   uint64_t segment_bytes_ = 0;   // bytes in the current segment
   int unsynced_records_ = 0;

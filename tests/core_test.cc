@@ -128,7 +128,7 @@ TEST(DirectTest, InfeasibleQueryReported) {
 
 TEST(DirectTest, BudgetFailureSurfaced) {
   Table t = MakeItems(60, 5);
-  DirectOptions options;
+  engine::ExecContext options;
   options.limits.max_nodes = 1;
   options.branch_and_bound.enable_rounding_heuristic = false;
   options.branch_and_bound.enable_diving_heuristic = false;

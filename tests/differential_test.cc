@@ -41,8 +41,8 @@ namespace paql {
 namespace {
 
 using core::DirectEvaluator;
-using core::DirectOptions;
 using core::NaiveSelfJoinEvaluator;
+using engine::ExecContext;
 using lang::AggCall;
 using lang::BoolExpr;
 using lang::CmpOp;
@@ -537,7 +537,7 @@ TEST(DifferentialTest, WarmMatchesColdOn200RandomQueries) {
 
     switch (arm) {
       case kDirect: {
-        DirectOptions warm_opts, cold_opts;
+        ExecContext warm_opts, cold_opts;
         cold_opts.warm_start = false;
         auto warm = DirectEvaluator(table, warm_opts).Evaluate(*cq);
         auto cold = DirectEvaluator(table, cold_opts).Evaluate(*cq);
@@ -564,7 +564,7 @@ TEST(DifferentialTest, WarmMatchesColdOn200RandomQueries) {
         break;
       }
       case kRatio: {
-        core::RatioObjectiveOptions warm_opts, cold_opts;
+        ExecContext warm_opts, cold_opts;
         cold_opts.warm_start = false;
         auto warm =
             core::RatioObjectiveEvaluator(table, warm_opts).Evaluate(query);
@@ -686,7 +686,7 @@ TEST(DifferentialTest, PartialPricingMatchesFullDantzigOn200RandomQueries) {
 
     switch (arm) {
       case kDirect: {
-        DirectOptions partial_opts, full_opts;
+        ExecContext partial_opts, full_opts;
         UseFullDantzigSolver(&full_opts);
         auto partial = DirectEvaluator(table, partial_opts).Evaluate(*cq);
         auto full = DirectEvaluator(table, full_opts).Evaluate(*cq);
@@ -820,7 +820,7 @@ TEST(DifferentialTest, ThreadsMatchSerialOn200RandomQueries) {
 
     switch (arm) {
       case kDirect: {
-        DirectOptions parallel_opts, serial_opts;
+        ExecContext parallel_opts, serial_opts;
         parallel_opts.threads = 4;
         serial_opts.threads = 1;
         auto parallel = DirectEvaluator(table, parallel_opts).Evaluate(*cq);

@@ -8,7 +8,6 @@
 
 #include "core/package.h"
 #include "paql/parser.h"
-#include "translate/compiled_query.h"
 
 namespace paql {
 namespace {
@@ -74,14 +73,16 @@ constexpr const char* kExample1 = R"(
     MINIMIZE SUM(P.saturated_fat))";
 constexpr double kExample1Optimum = 4.1;
 
-/// Validate a result package against the query it answered.
+/// Validate a result package against the query it answered (for an AVG
+/// objective, against its constraints).
 void ExpectFeasible(const QueryResult& result, const char* paql) {
   auto parsed = lang::ParsePackageQuery(paql);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  auto cq =
-      translate::CompiledQuery::Compile(*parsed, result.table->schema());
+  auto cq = engine::CompiledQuery::Compile(*parsed, result.table->schema());
   ASSERT_TRUE(cq.ok()) << cq.status();
-  EXPECT_TRUE(core::ValidatePackage(*cq, *result.table, result.package).ok());
+  Status valid =
+      core::ValidatePackage(cq->ilp, *result.table, result.package);
+  EXPECT_TRUE(valid.ok()) << valid;
 }
 
 TEST(EngineTest, Example1ThroughTheFacade) {
@@ -137,6 +138,39 @@ TEST(EngineTest, ExplicitOverrideWinsOverThreshold) {
   auto result = session->Execute(kExample1);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->plan.strategy, engine::Strategy::kDirect);
+}
+
+TEST(EngineTest, EveryPlannableStrategyReturnsAValidPackage) {
+  // Execute maps each plan onto one core evaluator call. Force every
+  // strategy the planner can return and validate the package it answers.
+  EngineOptions options;
+  options.planner.direct_row_threshold = 100;
+  auto session = Engine::Open(MakeRecipes(290), "Recipes", options);
+  ASSERT_TRUE(session.ok()) << session.status();
+  for (engine::Strategy strategy :
+       {engine::Strategy::kDirect, engine::Strategy::kSketchRefine,
+        engine::Strategy::kLpRounding}) {
+    SCOPED_TRACE(engine::StrategyName(strategy));
+    session->options().planner.force = strategy;
+    auto result = session->Execute(kExample1);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->plan.strategy, strategy);
+    EXPECT_EQ(result->package.TotalCount(), 3);
+    ExpectFeasible(*result, kExample1);
+  }
+
+  // RATIO_OBJECTIVE answers the AVG objective the other strategies cannot.
+  constexpr const char* kAvg = R"(
+      SELECT PACKAGE(R) AS P FROM Recipes R REPEAT 0
+      WHERE R.gluten = 'free'
+      SUCH THAT COUNT(P.*) = 3 AND SUM(P.kcal) >= 2.0
+      MINIMIZE AVG(P.saturated_fat))";
+  session->options().planner.force = engine::Strategy::kRatioObjective;
+  auto ratio = session->Execute(kAvg);
+  ASSERT_TRUE(ratio.ok()) << ratio.status();
+  EXPECT_EQ(ratio->plan.strategy, engine::Strategy::kRatioObjective);
+  EXPECT_EQ(ratio->package.TotalCount(), 3);
+  ExpectFeasible(*ratio, kAvg);
 }
 
 TEST(EngineTest, PartitioningIsCachedAcrossQueries) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/engine.h"
 #include "relation/schema.h"
 #include "relation/table.h"
 #include "relation/value.h"
@@ -48,19 +49,30 @@ TEST(PlannerTest, LargeTableRoutesToSketchRefine) {
   EXPECT_TRUE(plan.uses_partitioning());
 }
 
-TEST(PlannerTest, ParallelThreadsUpgradeSketchRefine) {
-  PlannerOptions options;
-  options.direct_row_threshold = 100;
-  options.parallel_threads = 4;
-  Planner planner(options);
-  Table t = MakeTable(500);
-  Plan plan = planner.Decide(t, QueryShape{});
-  EXPECT_EQ(plan.strategy, Strategy::kParallelSketchRefine);
-  EXPECT_EQ(plan.threads, 4);
-
-  // ...but a small table still solves exactly, threads or not.
-  Table small = MakeTable(10);
-  EXPECT_EQ(planner.Decide(small, QueryShape{}).strategy, Strategy::kDirect);
+TEST(PlannerTest, WorkerThreadsDoNotChangeTheRoute) {
+  // ExecContext::threads is how many workers a strategy runs with, not a
+  // routing input: a large table plans SKETCHREFINE serial or parallel,
+  // and the report names the worker count only on its pipeline/solver
+  // lines.
+  constexpr char kQuery[] =
+      "SELECT PACKAGE(R) AS P FROM R REPEAT 0 "
+      "SUCH THAT COUNT(P.*) = 3 MINIMIZE SUM(P.cost)";
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    EngineOptions options;
+    options.planner.direct_row_threshold = 100;
+    options.exec.threads = threads;
+    auto session = Engine::Open(MakeTable(500), "R", options);
+    ASSERT_TRUE(session.ok()) << session.status();
+    auto plan = session->PlanQuery(kQuery);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_EQ(plan->strategy, Strategy::kSketchRefine);
+    EXPECT_EQ(plan->exec_threads, options.exec.EffectiveThreads());
+    auto report = session->Explain(kQuery);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_NE(report->find("strategy: SKETCHREFINE"), std::string::npos);
+    EXPECT_EQ(report->find("threads:"), std::string::npos) << *report;
+  }
 }
 
 TEST(PlannerTest, LargeAllStringTableFallsBackToDirect) {
@@ -173,8 +185,6 @@ TEST(PlannerTest, ExplainReportsChoiceAndThresholds) {
 TEST(PlannerTest, StrategyNames) {
   EXPECT_STREQ(StrategyName(Strategy::kDirect), "DIRECT");
   EXPECT_STREQ(StrategyName(Strategy::kSketchRefine), "SKETCHREFINE");
-  EXPECT_STREQ(StrategyName(Strategy::kParallelSketchRefine),
-               "PARALLEL_SKETCHREFINE");
   EXPECT_STREQ(StrategyName(Strategy::kLpRounding), "LP_ROUNDING");
   EXPECT_STREQ(StrategyName(Strategy::kRatioObjective), "RATIO_OBJECTIVE");
 }

@@ -402,6 +402,50 @@ TEST(WalReplayTest, CorruptionInNonFinalSegmentFailsRecovery) {
   EXPECT_TRUE(replayed.status().IsCorruption()) << replayed.status();
 }
 
+TEST(WalReplayTest, TornTailIsCutBeforeTheNextIncarnationAppends) {
+  // A torn final record is the clean end of the log only while its
+  // segment is final. The next writer must cut it off before it starts a
+  // new segment, or the replay after that fails on a torn frame in the
+  // middle of the log.
+  TempDir dir("paql_wal_torn_reopen");
+  WalOptions options;
+  options.dir = dir.path();
+  options.sync = WalSync::kNone;
+  {
+    auto writer = WalWriter::Open(options);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE((*writer)->Append(DeltaRecord("t", i)).ok());
+    }
+  }
+  const std::string torn_segment = LastSegmentPath(dir.path());
+  const auto intact_size = std::filesystem::file_size(torn_segment);
+  {
+    // The crash: three bytes of a fourth frame reached the disk.
+    std::ofstream tail(torn_segment, std::ios::binary | std::ios::app);
+    tail.write("\x01\x02\x03", 3);
+  }
+  WalReplayStats stats;
+  EXPECT_EQ(Replayed(options, &stats).size(), 3u);
+  EXPECT_TRUE(stats.torn_tail);
+
+  {
+    auto writer = WalWriter::Open(options);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    ASSERT_TRUE((*writer)->Append(DeltaRecord("t", 3)).ok());
+  }
+  EXPECT_EQ(std::filesystem::file_size(torn_segment), intact_size);
+  EXPECT_EQ(CountSegmentFiles(dir.path()), 2u);
+  for (int replay = 0; replay < 2; ++replay) {
+    std::vector<WalRecord> records = Replayed(options, &stats);
+    ASSERT_EQ(records.size(), 4u);
+    for (size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(records[i].base_version, i);
+    }
+    EXPECT_FALSE(stats.torn_tail);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection against the writer
 // ---------------------------------------------------------------------------
@@ -454,6 +498,52 @@ TEST(WalFaultTest, FsyncFailureSurfacesThroughAppend) {
   EXPECT_TRUE(failed.IsRetryable()) << failed;
   // The next append (fault spent) succeeds again.
   EXPECT_TRUE((*writer)->Append(DeltaRecord("t", 1)).ok());
+}
+
+TEST(WalFaultTest, FailedRotationNeverRefusesALoggedRecord) {
+  // With 16-byte segments every record rotates. When the rotation's fsync
+  // fails, the record before it is already in the log: Append must
+  // acknowledge it and refuse what comes after, so that replay returns
+  // exactly the acknowledged records.
+  TempDir dir("paql_wal_fault_rotation");
+  FaultInjectingEnv env;
+  WalOptions options;
+  options.dir = dir.path();
+  options.sync = WalSync::kNone;  // the only fsyncs are the rotations'
+  options.segment_bytes = 16;
+  options.env = &env;
+  auto writer = WalWriter::Open(options);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+
+  std::vector<uint64_t> acknowledged, refused;
+  auto append = [&](uint64_t version) {
+    if ((*writer)->Append(DeltaRecord("t", version)).ok()) {
+      acknowledged.push_back(version);
+    } else {
+      refused.push_back(version);
+    }
+  };
+  append(0);
+  append(1);
+  FaultSpec spec;
+  spec.op = FaultSpec::Op::kSync;
+  spec.kind = FaultSpec::Kind::kFsyncFail;
+  spec.nth = static_cast<int>(env.syncs_seen());
+  env.AddFault(spec);
+  for (uint64_t version = 2; version < 6; ++version) append(version);
+  EXPECT_EQ(env.faults_fired(), 1);
+  EXPECT_EQ(acknowledged, (std::vector<uint64_t>{0, 1, 2}));
+  EXPECT_EQ(refused, (std::vector<uint64_t>{3, 4, 5}));
+  // The rotation error sticks to Sync and Close too.
+  EXPECT_FALSE((*writer)->Sync().ok());
+  EXPECT_FALSE((*writer)->Close().ok());
+
+  options.env = nullptr;
+  std::vector<uint64_t> replayed;
+  for (const WalRecord& r : Replayed(options)) {
+    replayed.push_back(r.base_version);
+  }
+  EXPECT_EQ(replayed, acknowledged);
 }
 
 // ---------------------------------------------------------------------------
