@@ -313,6 +313,18 @@ struct DsePricingSection {
   double pivot_ratio = 0;       // baseline_pivots / dse_pivots
 };
 
+/// The cut-separation suite's BENCH_micro.json section: one root
+/// separation round (SeparateCuts at the LP optimum of the micro query's
+/// Galaxy ILP) at two column counts, and the growth between them. The
+/// growth is a ratio of two timings from one run, so it transfers across
+/// machines: near-linear separation grows about 4x from 25k to 100k
+/// columns, and the regression guard fails past 6x.
+struct CutSeparationSection {
+  std::vector<size_t> columns;   // ascending
+  std::vector<double> ms;        // best-of-N wall time per separation round
+  double growth = 0;             // ms.back() / ms.front()
+};
+
 /// Write the BENCH_micro.json perf-trajectory record: per-kernel ns/row for
 /// the expression pipelines, per-solve µs for the solver paths (their own
 /// section, since the unit and problem size differ), plus the speedup
@@ -329,7 +341,8 @@ inline Status WriteBenchMicroJson(
     size_t solver_rows = 0, const ParallelBenchSection* parallel = nullptr,
     const SimdBenchSection* simd = nullptr,
     const DsePricingSection* dse = nullptr,
-    const Crc32BenchSection* crc32 = nullptr) {
+    const Crc32BenchSection* crc32 = nullptr,
+    const CutSeparationSection* cut_separation = nullptr) {
   std::vector<MicroSpeedup> speedups =
       DeriveSpeedups(rules, entries, solver_entries);
   std::ofstream os(path);
@@ -431,6 +444,20 @@ inline Status WriteBenchMicroJson(
     os << "    \"dse_pivots\": " << dse->dse_pivots << ",\n";
     os << "    \"bound_flips\": " << dse->bound_flips << ",\n";
     os << "    \"pivot_ratio\": " << FormatDouble(dse->pivot_ratio, 2)
+       << "\n";
+    os << "  },\n";
+  }
+  if (cut_separation != nullptr) {
+    os << "  \"cut_separation\": {\n";
+    os << "    \"unit\": \"ms_per_round\",\n";
+    os << "    \"entries\": {\n";
+    for (size_t i = 0; i < cut_separation->columns.size(); ++i) {
+      os << "      \"cols_" << cut_separation->columns[i]
+         << "\": " << FormatDouble(cut_separation->ms[i], 4)
+         << (i + 1 < cut_separation->columns.size() ? "," : "") << "\n";
+    }
+    os << "    },\n";
+    os << "    \"growth\": " << FormatDouble(cut_separation->growth, 3)
        << "\n";
     os << "  },\n";
   }

@@ -160,21 +160,71 @@ void BM_SketchRefineEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_SketchRefineEndToEnd)->Arg(1000)->Arg(10000);
 
-void BM_CutSeparation(benchmark::State& state) {
-  const relation::Table& t = SharedGalaxy(static_cast<size_t>(state.range(0)));
+/// The micro query's ILP over `rows` Galaxy rows and its LP optimum: the
+/// root point the cut loop separates.
+struct SeparationInput {
+  lp::Model model;
+  std::vector<double> x;
+};
+
+SeparationInput MakeSeparationInput(size_t rows) {
+  const relation::Table& t = SharedGalaxy(rows);
   auto q = lang::ParsePackageQuery(kQueryText);
   auto cq = translate::CompiledQuery::Compile(*q, t.schema());
-  auto rows = cq->ComputeBaseRows(t);
-  auto model = cq->BuildModel(t, rows);
-  auto lp = ilp::SolveLpRelaxation(*model);
+  auto base = cq->ComputeBaseRows(t);
+  auto model = cq->BuildModel(t, base);
+  PAQL_CHECK(model.ok());
+  SeparationInput in{std::move(*model), {}};
+  in.x = ilp::SolveLpRelaxation(in.model).x;
+  return in;
+}
+
+void BM_CutSeparation(benchmark::State& state) {
+  SeparationInput in = MakeSeparationInput(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    auto cuts = ilp::SeparateCuts(*model, lp.x, ilp::CutOptions{});
+    auto cuts = ilp::SeparateCuts(in.model, in.x, ilp::CutOptions{});
     benchmark::DoNotOptimize(cuts);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(rows.size()));
+                          static_cast<int64_t>(in.model.num_vars()));
 }
-BENCHMARK(BM_CutSeparation)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_CutSeparation)->Arg(1000)->Arg(10000)->Arg(25000)->Arg(100000);
+
+/// Cut-separation suite, the "cut_separation" BENCH_micro.json section:
+/// best-of-9 time of one separation round at 25k and 100k columns, the
+/// two sizes timed in alternation so both see the same machine phases.
+/// The COUNT row's >= side complements every column into one cover, so
+/// any per-member work that scans the cover turns quadratic here; the
+/// growth between the two sizes is the guarded number.
+void RunCutSeparationMicroSuite(CutSeparationSection* out) {
+  constexpr int kReps = 9;
+  out->columns = {25000, 100000};
+  std::vector<SeparationInput> inputs;
+  for (size_t columns : out->columns) {
+    inputs.push_back(MakeSeparationInput(columns));
+  }
+  out->ms.assign(inputs.size(), std::numeric_limits<double>::infinity());
+  std::vector<size_t> cuts(inputs.size());
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      Stopwatch watch;
+      auto separated =
+          ilp::SeparateCuts(inputs[i].model, inputs[i].x, ilp::CutOptions{});
+      out->ms[i] = std::min(out->ms[i], watch.ElapsedMillis());
+      cuts[i] = separated.size();
+    }
+  }
+  out->growth = out->ms.back() / out->ms.front();
+  TablePrinter printer({"columns", "ms/round", "cuts"});
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    printer.AddRow({StrCat(out->columns[i]), FormatDouble(out->ms[i], 3),
+                    StrCat(cuts[i])});
+  }
+  std::cout << "== root cut separation (growth " << FormatDouble(out->growth, 3)
+            << "x from " << out->columns.front() << " to "
+            << out->columns.back() << " columns) ==\n";
+  printer.Print(std::cout);
+}
 
 void BM_LpFormatWrite(benchmark::State& state) {
   const relation::Table& t = SharedGalaxy(static_cast<size_t>(state.range(0)));
@@ -1274,9 +1324,13 @@ int main(int argc, char** argv) {
   // overheads only amortize at scale.
   paql::bench::ParallelBenchSection parallel;
   paql::bench::RunParallelMicroSuite(1000000, &parallel);
+  // Fixed sizes under --quick too: the growth between them is the number.
+  paql::bench::CutSeparationSection cut_section;
+  paql::bench::RunCutSeparationMicroSuite(&cut_section);
   paql::Status written = paql::bench::WriteBenchMicroJson(
       "BENCH_micro.json", pipeline_rows, entries, rules, solver_entries,
-      solver_rows, &parallel, &simd_section, &dse_section, &crc32_section);
+      solver_rows, &parallel, &simd_section, &dse_section, &crc32_section,
+      &cut_section);
   PAQL_CHECK_MSG(written.ok(), written);
   std::cout << "wrote BENCH_micro.json\n\n";
   benchmark::RunSpecifiedBenchmarks();

@@ -406,6 +406,9 @@ int RunStatement(Session& session, const ShellOptions& options,
             << result->stats.rc_fixed_vars << " reduced-cost-fixed, "
             << result->stats.presolve_fixed_vars << " presolve-fixed, "
             << result->stats.warm_lp_solves << " warm LP solves\n";
+  std::cout << "-- root cuts: " << result->stats.cuts_added << " added in "
+            << result->stats.cut_rounds << " rounds, "
+            << result->stats.cut_seconds * 1e3 << " ms\n";
   if (result->stats.blocks_scanned > 0 || result->stats.blocks_pruned > 0) {
     std::cout << "-- storage: " << result->stats.blocks_scanned
               << " blocks scanned, " << result->stats.blocks_pruned

@@ -39,6 +39,11 @@ Two families of checks, both bounded by MAX_REGRESS (default 0.25):
     must flip bounds, must not take more pivots than the most-violated-row
     baseline, and the ratio may not drop more than MAX_REGRESS below the
     checked-in baseline's when both measured the same re-solve count.
+  * cut separation — the "cut_separation" section of BENCH_micro.json:
+    one root separation round at 25k and 100k columns. Their ratio
+    ("growth") comes from one run, so it transfers across machines; the
+    CURRENT run fails when it exceeds 6x (near-linear separation grows
+    about 4-5x, a quadratic pass 16x or more).
   * serving throughput — BENCH_serve.json files (bench ==
     "serve_throughput").
     Throughput (qps, lower bound) and tail latency (latency_us.p99, upper
@@ -51,7 +56,10 @@ Two families of checks, both bounded by MAX_REGRESS (default 0.25):
     batches) are enforced on the CURRENT run unconditionally. The
     incremental-vs-full speedup is compared only when both runs used the
     same rows/tau/batches; at 1M rows and above the paper's promise itself
-    is enforced — the incremental path must be at least 5x faster.
+    is enforced — the incremental path must be at least 5x faster. The
+    mean ApplyUpdates time with standing queries (standing.apply_s_mean)
+    is absolute, so it is compared only when rows, batches and
+    hardware_threads all match the baseline.
   * out-of-core storage — BENCH_scan.json files (bench == "scan_oocore").
     The correctness invariants (disk results bit-identical to memory,
     zone maps pruning blocks, on-disk <= 50% of raw) are enforced on the
@@ -247,6 +255,21 @@ def main() -> int:
                 f"{base_dse.get('resolves')} re-solves vs current "
                 f"{cur_dse.get('resolves')}")
 
+    base_cut = base.get("cut_separation", {})
+    cur_cut = cur.get("cut_separation", {})
+    if base_cut and not cur_cut:
+        failures.append('"cut_separation" section missing from current run')
+    elif cur_cut:
+        growth = cur_cut.get("growth")
+        if growth is None:
+            failures.append("cut separation: growth missing from current run")
+        elif growth > 6.0:
+            failures.append(
+                f"cut separation: one round grew {growth:g}x from the small "
+                f"to the large model, past the 6x near-linear bound")
+        else:
+            print(f"ok cut separation growth: {growth:g}x (bound 6x)")
+
     if base.get("bench") == "serve_throughput":
         if cur.get("bench") != "serve_throughput":
             failures.append("current run is not a serve bench result")
@@ -420,6 +443,31 @@ def main() -> int:
                     f"rows={cur.get('rows')} tau={cur.get('tau')} "
                     f"batches={cur.get('batches')} (dirty fractions and "
                     f"fixed costs drift with scale)")
+            apply_match = (
+                base.get("rows") == cur.get("rows")
+                and base.get("batches") == cur.get("batches")
+                and base.get("hardware_threads") == cur.get("hardware_threads"))
+            b_apply = base.get("standing", {}).get("apply_s_mean")
+            c_apply = cur_standing.get("apply_s_mean")
+            if apply_match and b_apply is not None:
+                if c_apply is None:
+                    failures.append(
+                        "update: standing.apply_s_mean missing from current run")
+                elif c_apply > b_apply * (1 + tol):
+                    failures.append(
+                        f"update: mean ApplyUpdates regressed: {c_apply:g} s > "
+                        f"{b_apply:g} s * (1 + {tol:g})")
+                else:
+                    print(f"ok update apply_s_mean: {c_apply:g} s "
+                          f"(baseline {b_apply:g} s)")
+            else:
+                print(
+                    f"skipping update apply_s_mean comparison: baseline "
+                    f"rows={base.get('rows')} batches={base.get('batches')} "
+                    f"threads={base.get('hardware_threads')} vs current "
+                    f"rows={cur.get('rows')} batches={cur.get('batches')} "
+                    f"threads={cur.get('hardware_threads')} (absolute time "
+                    f"drifts with scale and hardware)")
             # The PR's acceptance floor: at 1M rows a <=1%-dirty batch must
             # repair at least 5x faster than a full re-evaluation.
             if cur.get("rows", 0) >= 1_000_000:

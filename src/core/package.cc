@@ -98,6 +98,9 @@ void EvalStats::Accumulate(const ilp::IlpStats& ilp) {
   dse_pivots += ilp.dse_pivots;
   rc_fixed_vars += ilp.rc_fixed_vars;
   presolve_fixed_vars += ilp.presolve_fixed_vars;
+  cut_seconds += ilp.root_cut_seconds;
+  cut_rounds += ilp.cut_rounds;
+  cuts_added += ilp.cuts_added;
   parallel_bnb_nodes += ilp.parallel_nodes;
   peak_memory_bytes = std::max(peak_memory_bytes, ilp.peak_memory_bytes);
 }

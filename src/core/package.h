@@ -72,6 +72,12 @@ struct EvalStats {
   /// Columns removed by the ILP presolve pass across all solves (zero
   /// when BranchAndBoundOptions::presolve is off).
   int64_t presolve_fixed_vars = 0;
+  /// Root cut loop across all ILP solves: wall time (separation plus the
+  /// augmented root re-solves), separate-resolve rounds that produced
+  /// cuts, and cuts appended.
+  double cut_seconds = 0;
+  int64_t cut_rounds = 0;
+  int64_t cuts_added = 0;
 
   // SKETCHREFINE-specific counters (zero for other strategies).
   int64_t groups_refined = 0;

@@ -189,6 +189,9 @@ Result<EvalResult> ParallelSketchRefineEvaluator::EvaluateGroupParallel(
       result->stats.dse_pivots += partial.dse_pivots;
       result->stats.rc_fixed_vars += partial.rc_fixed_vars;
       result->stats.presolve_fixed_vars += partial.presolve_fixed_vars;
+      result->stats.cut_seconds += partial.cut_seconds;
+      result->stats.cut_rounds += partial.cut_rounds;
+      result->stats.cuts_added += partial.cuts_added;
       result->stats.parallel_bnb_nodes += partial.parallel_bnb_nodes;
       result->stats.peak_memory_bytes = std::max(
           result->stats.peak_memory_bytes, partial.peak_memory_bytes);

@@ -147,6 +147,13 @@ bool KeyMatchesPolicy(const std::string& key, const std::string& table_name,
   return true;
 }
 
+/// The root-cut summary an executed plan reports on Explain.
+Plan::RootCuts RootCutsOf(const core::EvalStats& stats) {
+  return {.seconds = stats.cut_seconds,
+          .rounds = stats.cut_rounds,
+          .added = stats.cuts_added};
+}
+
 std::string CsvBaseName(const std::string& path) {
   size_t slash = path.find_last_of("/\\");
   std::string name =
@@ -484,6 +491,7 @@ Result<QueryResult> Session::Execute(std::string_view paql) {
   out.package = std::move(result->package);
   out.objective = result->objective;
   out.stats = result->stats;
+  out.plan.root_cuts = RootCutsOf(out.stats);
   if (!resolved.joined_from) {
     out.stats.cache_hits = cached.has_value() ? 1 : 0;
     out.stats.cache_misses = cached.has_value() ? 0 : 1;
@@ -514,6 +522,7 @@ Result<QueryResult> Session::Execute(std::string_view paql) {
     artifacts.plan = out.plan;
     artifacts.plan->plan_cached = false;
     artifacts.plan->warm_cached = false;
+    artifacts.plan->root_cuts.reset();
     artifacts.partitioning = std::move(partitioning);
     if (warm_local.root_basis.valid) {
       artifacts.warm_basis = std::move(warm_local.root_basis);
@@ -570,6 +579,7 @@ Result<std::vector<QueryResult>> Session::ExecuteTopK(std::string_view paql,
     qr.objective = result.objective;
     qr.stats = result.stats;
     qr.plan = plan;
+    qr.plan.root_cuts = RootCutsOf(result.stats);
     qr.timings = timings;
     qr.table = resolved.table;
     out.push_back(std::move(qr));

@@ -141,6 +141,11 @@ std::string Plan::Explain() const {
     }
     os << "] (" << (partitioning_reused ? "cached" : "built") << ")\n";
   }
+  if (root_cuts.has_value()) {
+    os << "root cuts: " << root_cuts->added << " added in "
+       << root_cuts->rounds << " rounds, "
+       << FormatDouble(root_cuts->seconds * 1e3, 3) << " ms\n";
+  }
   return os.str();
 }
 

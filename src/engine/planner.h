@@ -13,6 +13,8 @@
 #define PAQL_ENGINE_PLANNER_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -91,6 +93,17 @@ struct Plan {
   size_t partition_size_threshold = 0;  // tau
   size_t partition_groups = 0;
   bool partitioning_reused = false;     // cache hit (vs built for this query)
+
+  /// The root cut loop of an executed plan, summed over its ILP solves
+  /// (core::EvalStats::cut_*). Filled by the session after evaluation and
+  /// reported on Explain's root cuts: line; empty on a plan that has not
+  /// run (\plan, Session::Explain).
+  struct RootCuts {
+    double seconds = 0;
+    int64_t rounds = 0;
+    int64_t added = 0;
+  };
+  std::optional<RootCuts> root_cuts;
 
   bool uses_partitioning() const {
     return strategy == Strategy::kSketchRefine;

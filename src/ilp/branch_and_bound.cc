@@ -1154,6 +1154,7 @@ Result<IlpSolution> SolveWithCuts(const lp::Model& model,
   if (solution.ok()) {
     solution->stats.cuts_added = cuts_added;
     solution->stats.cut_rounds = cut_rounds;
+    solution->stats.root_cut_seconds = cut_seconds;
     solution->stats.lp_iterations += lp_iterations;
     solution->stats.pricing_candidate_hits += pricing_hits;
     solution->stats.bound_flips += cut_bound_flips;
@@ -1163,6 +1164,7 @@ Result<IlpSolution> SolveWithCuts(const lp::Model& model,
   if (stats_out) {
     stats_out->cuts_added = cuts_added;
     stats_out->cut_rounds = cut_rounds;
+    stats_out->root_cut_seconds = cut_seconds;
     stats_out->lp_iterations += lp_iterations;
     stats_out->pricing_candidate_hits += pricing_hits;
     stats_out->bound_flips += cut_bound_flips;

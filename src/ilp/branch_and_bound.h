@@ -29,6 +29,9 @@ struct IlpStats {
   bool proven_optimal = false;
   int64_t cuts_added = 0;   // root cutting planes appended (cut-and-branch)
   int64_t cut_rounds = 0;   // separate-resolve rounds that produced cuts
+  /// Wall time of the root cut loop: separation plus the re-solves of the
+  /// augmented root LP (zero when cuts are off or the model has no rows).
+  double root_cut_seconds = 0;
   /// Node LP solves that re-optimized from a warm basis with the dual
   /// simplex instead of a from-scratch primal solve.
   int64_t warm_lp_solves = 0;

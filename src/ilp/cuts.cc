@@ -1,9 +1,11 @@
 #include "ilp/cuts.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <map>
+#include <cstdint>
 #include <numeric>
+#include <unordered_set>
 #include <utility>
 
 #include "common/str_util.h"
@@ -128,29 +130,37 @@ bool SeparateOneCover(const KnapsackForm& form, const std::vector<double>& x,
 
   // Minimalize: drop members whose removal keeps the cover property,
   // lowest-fraction first (they cost violation, and removal shrinks |C|).
+  // One pass compacts the survivors in place; `size` counts the members
+  // kept so far plus those not yet examined, so the size > 2 test reads
+  // the same cover size at every step as an erase per drop would.
   std::sort(cover.begin(), cover.end(), [&](size_t a, size_t b) {
     return form.items[a].frac < form.items[b].frac;
   });
-  for (size_t i = 0; i < cover.size();) {
-    double w = form.items[cover[i]].weight;
-    if (cover.size() > 2 && weight - w > form.capacity + 1e-12) {
+  size_t size = cover.size();
+  size_t kept = 0;
+  for (size_t idx : cover) {
+    double w = form.items[idx].weight;
+    if (size > 2 && weight - w > form.capacity + 1e-12) {
       weight -= w;
-      cover.erase(cover.begin() + static_cast<ptrdiff_t>(i));
+      --size;
     } else {
-      ++i;
+      cover[kept++] = idx;
     }
   }
+  cover.resize(kept);
 
   // Extended cover (simple lifting): every non-member at least as heavy as
   // the heaviest member joins with coefficient 1. Valid for minimal covers:
   // selecting such an item plus |C|-1 members already exceeds capacity.
   double max_weight = 0;
+  std::vector<bool> in_cover(form.items.size(), false);
   for (size_t idx : cover) {
     max_weight = std::max(max_weight, form.items[idx].weight);
+    in_cover[idx] = true;
   }
   std::vector<size_t> extended = cover;
   for (size_t idx = 0; idx < form.items.size(); ++idx) {
-    if (std::find(cover.begin(), cover.end(), idx) != cover.end()) continue;
+    if (in_cover[idx]) continue;
     if (form.items[idx].weight >= max_weight - 1e-12) {
       extended.push_back(idx);
     }
@@ -164,20 +174,49 @@ bool SeparateOneCover(const KnapsackForm& form, const std::vector<double>& x,
 /// True when `v` is integral within tolerance.
 bool IsIntegral(double v) { return std::abs(v - std::round(v)) < 1e-9; }
 
-/// Key for structural cut de-duplication.
-std::string CutKey(const Cut& cut) {
+/// Structural identity of a cut for de-duplication: its (var, coef) terms
+/// in sorted order and its bounds.
+struct CutSignature {
   std::vector<std::pair<int, double>> terms;
+  double lo = 0;
+  double hi = 0;
+
+  bool operator==(const CutSignature&) const = default;
+};
+
+CutSignature SignatureOf(const Cut& cut) {
+  CutSignature sig;
+  sig.terms.reserve(cut.row.vars.size());
   for (size_t k = 0; k < cut.row.vars.size(); ++k) {
-    terms.emplace_back(cut.row.vars[k], cut.row.coefs[k]);
+    sig.terms.emplace_back(cut.row.vars[k], cut.row.coefs[k]);
   }
-  std::sort(terms.begin(), terms.end());
-  std::string key;
-  for (const auto& [var, coef] : terms) {
-    key += StrCat(var, ":", coef, ";");
-  }
-  key += StrCat("|", cut.row.lo, ",", cut.row.hi);
-  return key;
+  std::sort(sig.terms.begin(), sig.terms.end());
+  sig.lo = cut.row.lo;
+  sig.hi = cut.row.hi;
+  return sig;
 }
+
+/// 64-bit hash of a signature, consistent with its operator== (adding 0.0
+/// folds -0.0 into +0.0, which compare equal). The set that uses it
+/// compares signatures exactly on a collision.
+struct CutSignatureHash {
+  size_t operator()(const CutSignature& sig) const {
+    uint64_t h = 0x9e3779b97f4a7c15ULL;
+    auto mix = [&h](uint64_t v) {
+      h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+      h *= 0xbf58476d1ce4e5b9ULL;
+      h ^= h >> 31;
+    };
+    auto bits = [](double v) { return std::bit_cast<uint64_t>(v + 0.0); };
+    for (const auto& [var, coef] : sig.terms) {
+      mix(static_cast<uint64_t>(static_cast<uint32_t>(var)));
+      mix(bits(coef));
+    }
+    mix(bits(sig.lo));
+    mix(bits(sig.hi));
+    return static_cast<size_t>(h);
+  }
+};
 
 }  // namespace
 
@@ -263,12 +302,10 @@ std::vector<Cut> SeparateCuts(const lp::Model& model,
   std::sort(all.begin(), all.end(),
             [](const Cut& a, const Cut& b) { return a.violation > b.violation; });
   std::vector<Cut> out;
-  std::map<std::string, bool> seen;
+  std::unordered_set<CutSignature, CutSignatureHash> seen;
   for (Cut& cut : all) {
     if (static_cast<int>(out.size()) >= options.max_cuts_per_round) break;
-    std::string key = CutKey(cut);
-    if (seen.count(key)) continue;
-    seen[key] = true;
+    if (!seen.insert(SignatureOf(cut)).second) continue;
     out.push_back(std::move(cut));
   }
   return out;

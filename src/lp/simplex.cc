@@ -973,39 +973,48 @@ LpStatus SimplexSolver::RunDualPhase(const Deadline& deadline, int* iterations,
       // variable is dual feasible at either bound), retiring the
       // breakpoint without a basis change. The first breakpoint that
       // cannot flip — free or one-sided column, box too large, or the last
-      // one standing — becomes the entering pivot column. ---
-      std::sort(bps.begin(), bps.end(),
-                [](const Breakpoint& a, const Breakpoint& b) {
-                  if (a.ratio != b.ratio) return a.ratio < b.ratio;
-                  if (a.abs_alpha != b.abs_alpha) {
-                    return a.abs_alpha > b.abs_alpha;
-                  }
-                  return a.j < b.j;
-                });
+      // one standing — becomes the entering pivot column.
+      //
+      // The walk usually stops after a few breakpoints, so they are not
+      // sorted: a heap under the walk's strict total order (ratio, then
+      // larger |alpha|, then j) is built in linear time and popped only as
+      // far as the walk goes. Each pop parks the breakpoint at the back of
+      // `bps`, so the walked ones sit in bps[heap_end, size) in reverse
+      // walk order. ---
+      auto after = [](const Breakpoint& a, const Breakpoint& b) {
+        if (a.ratio != b.ratio) return a.ratio > b.ratio;
+        if (a.abs_alpha != b.abs_alpha) return a.abs_alpha < b.abs_alpha;
+        return a.j > b.j;
+      };
+      std::make_heap(bps.begin(), bps.end(), after);
+      size_t heap_end = bps.size();
+      auto pop = [&] {
+        std::pop_heap(bps.begin(),
+                      bps.begin() + static_cast<ptrdiff_t>(heap_end), after);
+        return bps[--heap_end];
+      };
       double slope = best_viol;
       const double keep_tol =
           options_.feas_tol * (1.0 + std::abs(xb_[leave_row]));
-      size_t pivot_k = 0;
-      size_t flip_end = 0;  // breakpoints [0, flip_end) get flipped
-      for (size_t k = 0; k < bps.size(); ++k) {
-        const Breakpoint& bp = bps[k];
-        pivot_k = k;
-        if (k + 1 == bps.size()) break;  // someone must pivot
+      size_t flips = 0;  // walked breakpoints that get flipped
+      Breakpoint bp = pop();
+      while (heap_end > 0) {  // the last one standing must pivot
         if (std::isinf(lb_[bp.j]) || std::isinf(ub_[bp.j])) break;
         double step = bp.abs_alpha * (ub_[bp.j] - lb_[bp.j]);
         if (slope - step <= keep_tol) break;  // flip would erase the viol
         slope -= step;
-        flip_end = k + 1;
+        ++flips;
+        bp = pop();
       }
-      enter = bps[pivot_k].j;
-      best_alpha = bps[pivot_k].alpha;
-      if (flip_end > 0) {
+      enter = bp.j;
+      best_alpha = bp.alpha;
+      if (flips > 0) {
         // Apply every flip with a single FTRAN of the accumulated delta
         // column: xb -= B^{-1} (sum_j delta_j A_j). The basis is untouched,
         // so no eta is spent and the eta file stays short.
         flip_accum.assign(static_cast<size_t>(m_), 0.0);
-        for (size_t k = 0; k < flip_end; ++k) {
-          int j = bps[k].j;
+        for (size_t k = 0; k < flips; ++k) {
+          int j = bps[bps.size() - 1 - k].j;
           double delta_j = status_[j] == VarStatus::kAtLower
                                ? ub_[j] - lb_[j]
                                : lb_[j] - ub_[j];
@@ -1018,7 +1027,7 @@ LpStatus SimplexSolver::RunDualPhase(const Deadline& deadline, int* iterations,
                            ? VarStatus::kAtUpper
                            : VarStatus::kAtLower;
         }
-        bound_flips_ += static_cast<int64_t>(flip_end);
+        bound_flips_ += static_cast<int64_t>(flips);
         FtranVec(&flip_accum);
         for (int i = 0; i < m_; ++i) xb_[i] -= flip_accum[i];
       }

@@ -369,14 +369,21 @@ Status WalWriter::RepairTornTailLocked() {
   PAQL_ASSIGN_OR_RETURN(SegmentWalk walk,
                         WalkSegment(path, bytes, nullptr, nullptr));
   if (walk.torn == nullptr) return Status::OK();
-  // Cut the segment back to its intact prefix (a bare header when the
-  // header itself was torn) through a synced temp file renamed over it,
-  // so a crash mid-repair leaves either the torn or the repaired segment.
-  // The temp name is not a segment name, so replay never reads it.
-  if (walk.intact_bytes == 0) {
-    bytes = SegmentHeader();
-  } else {
-    bytes.resize(walk.intact_bytes);
+  return CutSegmentLocked(path, std::move(bytes), walk.intact_bytes);
+}
+
+Status WalWriter::CutSegmentLocked(const std::string& path,
+                                   std::vector<uint8_t> bytes,
+                                   uint64_t length) {
+  // Cut the segment back to its first `length` bytes (a bare header when
+  // that would not hold one) through a synced temp file renamed over it,
+  // so a crash mid-cut leaves either the old or the cut segment. The temp
+  // name is not a segment name, so replay never reads it.
+  const std::vector<uint8_t> header = SegmentHeader();
+  if (length < header.size()) {
+    bytes = header;
+  } else if (length < bytes.size()) {
+    bytes.resize(length);
   }
   const std::string temp = StrCat(path, ".repair");
   PAQL_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
@@ -387,10 +394,22 @@ Status WalWriter::RepairTornTailLocked() {
   return env_->RenameFile(temp, path);
 }
 
+void WalWriter::CutBackLocked(uint64_t length) {
+  // The handle's state is unknown after a failed write or sync; the cut
+  // replaces the file it points at anyway.
+  (void)file_->Close();
+  file_ = nullptr;
+  const std::string path = StrCat(options_.dir, "/", SegmentName(seq_));
+  Result<std::vector<uint8_t>> bytes = ReadSegment(env_, path);
+  Status cut = bytes.ok() ? CutSegmentLocked(path, std::move(*bytes), length)
+                          : bytes.status();
+  if (!cut.ok()) sticky_error_ = cut;
+}
+
 Status WalWriter::Append(const WalRecord& record) {
   std::lock_guard<std::mutex> lock(mu_);
   if (closed_) return Status::Internal("wal: writer is closed");
-  PAQL_RETURN_IF_ERROR(rotation_error_);
+  PAQL_RETURN_IF_ERROR(sticky_error_);
   if (!tail_repaired_) {
     PAQL_RETURN_IF_ERROR(RepairTornTailLocked());
     tail_repaired_ = true;
@@ -403,36 +422,36 @@ Status WalWriter::Append(const WalRecord& record) {
                       MaskCrc32(Crc32(payload.data(), payload.size())));
   PutScalar<uint32_t>(&frame, static_cast<uint32_t>(payload.size()));
   frame.insert(frame.end(), payload.begin(), payload.end());
+  const bool sync =
+      options_.sync == WalSync::kAlways ||
+      (options_.sync == WalSync::kBatch &&
+       unsynced_records_ + 1 >= std::max(1, options_.sync_every_n));
   // One write per record: a crash tears at most the frame's tail, which
   // replay recognizes as the end of the log.
-  PAQL_RETURN_IF_ERROR(file_->Append(frame.data(), frame.size()));
+  Status written = file_->Append(frame.data(), frame.size());
+  if (written.ok() && sync) written = file_->Sync();
+  if (!written.ok()) {
+    // A refused record must never be replayed, and nothing may land
+    // behind a torn frame: cut the segment back to the last acknowledged
+    // frame. The next Append starts a fresh segment.
+    CutBackLocked(segment_bytes_);
+    return written;
+  }
   segment_bytes_ += frame.size();
   bytes_ += frame.size();
   ++records_;
-  ++unsynced_records_;
-
-  switch (options_.sync) {
-    case WalSync::kAlways:
-      PAQL_RETURN_IF_ERROR(file_->Sync());
-      ++syncs_;
-      unsynced_records_ = 0;
-      break;
-    case WalSync::kBatch:
-      if (unsynced_records_ >= std::max(1, options_.sync_every_n)) {
-        PAQL_RETURN_IF_ERROR(file_->Sync());
-        ++syncs_;
-        unsynced_records_ = 0;
-      }
-      break;
-    case WalSync::kNone:
-      break;
+  if (sync) {
+    ++syncs_;
+    unsynced_records_ = 0;
+  } else {
+    ++unsynced_records_;
   }
   // Rotation closes the full segment; the next Append opens its successor.
   // The record is in the log by now, so it is reported appended whatever
   // the rotation does: a failed sync or close of the full segment fails
   // every later call instead, before it writes anything.
   if (segment_bytes_ >= options_.segment_bytes) {
-    rotation_error_ = CloseSegmentLocked();
+    sticky_error_ = CloseSegmentLocked();
   }
   return Status::OK();
 }
@@ -440,7 +459,7 @@ Status WalWriter::Append(const WalRecord& record) {
 Status WalWriter::Sync() {
   std::lock_guard<std::mutex> lock(mu_);
   if (closed_) return Status::Internal("wal: writer is closed");
-  PAQL_RETURN_IF_ERROR(rotation_error_);
+  PAQL_RETURN_IF_ERROR(sticky_error_);
   if (file_ == nullptr) return Status::OK();
   PAQL_RETURN_IF_ERROR(file_->Sync());
   ++syncs_;
@@ -451,7 +470,7 @@ Status WalWriter::Sync() {
 Status WalWriter::Close() {
   std::lock_guard<std::mutex> lock(mu_);
   closed_ = true;
-  PAQL_RETURN_IF_ERROR(rotation_error_);
+  PAQL_RETURN_IF_ERROR(sticky_error_);
   return CloseSegmentLocked();
 }
 

@@ -28,7 +28,9 @@
 // appended with a single write, so a crash tears at most the tail of the
 // last segment — replay treats an incomplete or CRC-failing tail as the
 // clean end of the log (prefix durability), and the next writer cuts that
-// tail off before it appends. A CRC failure in any *non-final* segment is
+// tail off before it appends. A writer whose own write or sync fails cuts
+// its segment back to the last acknowledged record, so a refused record is
+// never replayed. A CRC failure in any *non-final* segment is
 // real corruption and fails recovery with a structured error.
 //
 // Sync policy decides the durability/throughput trade:
@@ -113,12 +115,13 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Serialize + append one record; syncs per the policy. On any error
-  /// the record must be considered not durable (the caller fails the
-  /// batch; a torn prefix on disk is handled by replay). A record that
-  /// reached the log is reported appended even when the rotation after it
-  /// fails; that rotation error then fails every later Append, Sync and
-  /// Close before it writes anything.
+  /// Serialize + append one record; syncs per the policy. An error means
+  /// the record will not be replayed: when its write or sync fails, the
+  /// segment is cut back to the end of the last acknowledged record and
+  /// the next Append starts a fresh segment. A record that reached the log
+  /// is reported appended even when the rotation after it fails. A failed
+  /// rotation or cut then fails every later Append, Sync and Close before
+  /// it writes anything.
   Status Append(const WalRecord& record);
 
   /// Force an fsync of the current segment now (a no-op while no segment
@@ -142,6 +145,13 @@ class WalWriter {
   /// Rewrite the pre-existing final segment to its intact prefix when its
   /// tail is torn (a no-op for an intact or absent log).
   Status RepairTornTailLocked();
+  /// Replace the segment at `path`, whose contents are `bytes`, with its
+  /// first `length` bytes through a synced temp file and a rename.
+  Status CutSegmentLocked(const std::string& path, std::vector<uint8_t> bytes,
+                          uint64_t length);
+  /// After a failed write or sync: close the current segment and cut it
+  /// back to `length` bytes; a failed cut becomes the sticky error.
+  void CutBackLocked(uint64_t length);
 
   WalOptions options_;
   Env* env_ = nullptr;
@@ -150,7 +160,7 @@ class WalWriter {
   std::unique_ptr<WritableFile> file_;  // null until the next Append
   bool closed_ = false;
   bool tail_repaired_ = false;   // RepairTornTailLocked has succeeded
-  Status rotation_error_;        // sticky: a failed rotation ends the writer
+  Status sticky_error_;          // a failed rotation or cut ends the writer
   uint64_t seq_ = 0;             // current segment sequence number
   uint64_t segment_bytes_ = 0;   // bytes in the current segment
   int unsynced_records_ = 0;

@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "common/str_util.h"
 #include "core/package.h"
 #include "paql/parser.h"
 
@@ -299,6 +300,40 @@ TEST(EngineTest, TimingsAndStatsAreFilled) {
   EXPECT_GT(result->timings.total_seconds, 0);
   EXPECT_GE(result->timings.evaluate_seconds, 0);
   EXPECT_GE(result->stats.ilp_solves, 1);
+}
+
+TEST(EngineTest, RootCutStatsReachExplain) {
+  // Two of five items under a budget: the root LP is fractional and the
+  // budget row yields cover cuts.
+  Table items{Schema({{"a", DataType::kDouble}, {"b", DataType::kDouble}})};
+  for (auto [a, b] : {std::pair{1.0, 2.0}, {2.0, 3.0}, {3.0, 1.0},
+                      {4.0, 5.0}, {2.0, 2.0}}) {
+    ASSERT_TRUE(items.AppendRow({Value(a), Value(b)}).ok());
+  }
+  constexpr const char* kQuery =
+      "SELECT PACKAGE(R) AS P FROM Items R REPEAT 0 "
+      "SUCH THAT COUNT(P.*) = 2 AND SUM(P.b) <= 5 MAXIMIZE SUM(P.a)";
+  auto session = Engine::Open(std::move(items), "Items");
+  ASSERT_TRUE(session.ok()) << session.status();
+  auto planned = session->Explain(kQuery);
+  ASSERT_TRUE(planned.ok()) << planned.status();
+  EXPECT_EQ(planned->find("root cuts:"), std::string::npos) << *planned;
+
+  for (int run = 0; run < 2; ++run) {  // the second run hits the cache
+    auto result = session->Execute(kQuery);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_NEAR(result->objective, 5.0, 1e-9);
+    const core::EvalStats& stats = result->stats;
+    EXPECT_GT(stats.cuts_added, 0);
+    EXPECT_GT(stats.cut_rounds, 0);
+    EXPECT_GT(stats.cut_seconds, 0);
+    EXPECT_LE(stats.cut_seconds, stats.solve_seconds);
+    std::string report = result->plan.Explain();
+    EXPECT_NE(report.find(StrCat("root cuts: ", stats.cuts_added,
+                                 " added in ", stats.cut_rounds, " rounds")),
+              std::string::npos)
+        << report;
+  }
 }
 
 TEST(EngineTest, ErrorsSurfaceCleanly) {

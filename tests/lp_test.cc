@@ -834,6 +834,51 @@ TEST(SimplexDualPricingTest, DseSurvivesBasisRestoreAndRefactor) {
   }
 }
 
+TEST(SimplexDualPricingTest, WarmResolveSweepPinsPivotAndFlipCounts) {
+  // The warm re-solve sweep of the dual-pricing micro bench (400 boxed
+  // knapsack columns, 40 re-solves that each fix 30 columns at 1). The
+  // counts are deterministic for the fixed model: any drift in the order
+  // the bound-flipping walk visits its breakpoints changes them.
+  constexpr int kCols = 400;
+  constexpr int kResolves = 40;
+  constexpr int kFixPerResolve = 30;
+  std::mt19937_64 rng(20260808);
+  std::uniform_real_distribution<double> value(1.0, 10.0), weight(1.0, 5.0);
+  Model m;
+  m.set_sense(Sense::kMaximize);
+  RowDef cap;
+  for (int j = 0; j < kCols; ++j) {
+    m.AddVariable(0, 1, value(rng), false);
+    cap.vars.push_back(j);
+    cap.coefs.push_back(weight(rng));
+  }
+  cap.lo = -kInf;
+  cap.hi = static_cast<double>(kCols) / 2.0;
+  ASSERT_TRUE(m.AddRow(std::move(cap)).ok());
+
+  SimplexSolver solver(m);
+  ASSERT_EQ(solver.Solve(Deadline(60.0)).status, LpStatus::kOptimal);
+  Basis root = solver.SnapshotBasis();
+  int64_t pivots = 0, flips = 0, dse_pivots = 0;
+  for (int i = 0; i < kResolves; ++i) {
+    solver.RestoreBasis(root);
+    for (int f = 0; f < kFixPerResolve; ++f) {
+      solver.SetVarBounds((i * 131 + f * 17) % kCols, 1, 1);
+    }
+    LpResult r = solver.Solve(Deadline(60.0));
+    ASSERT_EQ(r.status, LpStatus::kOptimal) << "re-solve " << i;
+    pivots += r.iterations;
+    flips += r.bound_flips;
+    dse_pivots += r.dse_pivots;
+    for (int f = 0; f < kFixPerResolve; ++f) {
+      solver.SetVarBounds((i * 131 + f * 17) % kCols, 0, 1);
+    }
+  }
+  EXPECT_EQ(pivots, 40);
+  EXPECT_EQ(flips, 1299);
+  EXPECT_EQ(dse_pivots, 40);
+}
+
 TEST(SimplexWarmStartTest, ColdKillSwitchDisablesBasisReuse) {
   Model m = MakeKnapsackLp(25, 3);
   SimplexOptions cold_opts;

@@ -469,13 +469,109 @@ TEST(WalFaultTest, FailedAppendSurfacesAndLogStaysReplayable) {
   env.AddFault(tear);
   EXPECT_FALSE((*writer)->Append(DeltaRecord("t", 1)).ok());
 
-  // Replay sees the intact record and treats the torn one as the end.
+  // The writer cut the torn frame off: replay sees the intact record and
+  // a clean end.
   options.env = nullptr;
   WalReplayStats stats;
   std::vector<WalRecord> records = Replayed(options, &stats);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].base_version, 0u);
-  EXPECT_TRUE(stats.torn_tail);
+  EXPECT_FALSE(stats.torn_tail);
+}
+
+TEST(WalFaultTest, RecordsAcknowledgedAfterAShortWriteAreReplayed) {
+  // Record 1's write lands only a prefix. Record 2, acknowledged after
+  // it, must not sit behind the torn frame, where replay would stop.
+  TempDir dir("paql_wal_fault_short_write");
+  FaultInjectingEnv env;
+  WalOptions options;
+  options.dir = dir.path();
+  options.sync = WalSync::kNone;
+  options.env = &env;
+  auto writer = WalWriter::Open(options);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  ASSERT_TRUE((*writer)->Append(DeltaRecord("t", 0)).ok());
+  FaultSpec tear;
+  tear.op = FaultSpec::Op::kWrite;
+  tear.kind = FaultSpec::Kind::kShortWrite;
+  tear.nth = static_cast<int>(env.writes_seen());
+  env.AddFault(tear);
+  EXPECT_FALSE((*writer)->Append(DeltaRecord("t", 1)).ok());
+  ASSERT_TRUE((*writer)->Append(DeltaRecord("t", 2)).ok());
+  ASSERT_TRUE((*writer)->Close().ok());
+
+  options.env = nullptr;
+  WalReplayStats stats;
+  std::vector<uint64_t> replayed;
+  for (const WalRecord& r : Replayed(options, &stats)) {
+    replayed.push_back(r.base_version);
+  }
+  EXPECT_EQ(replayed, (std::vector<uint64_t>{0, 2}));
+  EXPECT_FALSE(stats.torn_tail);
+}
+
+TEST(WalFaultTest, RecordRefusedForAFailedFsyncIsNeverReplayed) {
+  // Under kAlways the record is in the segment when its fsync fails; the
+  // refusal must take it out again.
+  TempDir dir("paql_wal_fault_fsync_refused");
+  FaultInjectingEnv env;
+  WalOptions options;
+  options.dir = dir.path();
+  options.sync = WalSync::kAlways;
+  options.env = &env;
+  auto writer = WalWriter::Open(options);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  FaultSpec spec;
+  spec.op = FaultSpec::Op::kSync;
+  spec.kind = FaultSpec::Kind::kFsyncFail;
+  spec.nth = static_cast<int>(env.syncs_seen());
+  env.AddFault(spec);
+  EXPECT_FALSE((*writer)->Append(DeltaRecord("t", 0)).ok());
+  ASSERT_TRUE((*writer)->Append(DeltaRecord("t", 1)).ok());
+  ASSERT_TRUE((*writer)->Close().ok());
+
+  options.env = nullptr;
+  std::vector<uint64_t> replayed;
+  for (const WalRecord& r : Replayed(options)) {
+    replayed.push_back(r.base_version);
+  }
+  EXPECT_EQ(replayed, (std::vector<uint64_t>{1}));
+}
+
+TEST(WalFaultTest, FailedCutEndsTheWriter) {
+  // A short write is refused, and the cut that should take its prefix
+  // out cannot open its temp file: the writer must refuse everything
+  // after, or a later record would land behind the torn frame.
+  TempDir dir("paql_wal_fault_cut");
+  FaultInjectingEnv env;
+  WalOptions options;
+  options.dir = dir.path();
+  options.sync = WalSync::kNone;
+  options.env = &env;
+  auto writer = WalWriter::Open(options);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  ASSERT_TRUE((*writer)->Append(DeltaRecord("t", 0)).ok());
+  FaultSpec tear;
+  tear.op = FaultSpec::Op::kWrite;
+  tear.kind = FaultSpec::Kind::kShortWrite;
+  tear.nth = static_cast<int>(env.writes_seen());
+  env.AddFault(tear);
+  FaultSpec no_temp;
+  no_temp.op = FaultSpec::Op::kOpen;
+  no_temp.kind = FaultSpec::Kind::kFail;
+  no_temp.sticky = true;
+  no_temp.path_substr = ".repair";
+  env.AddFault(no_temp);
+  EXPECT_FALSE((*writer)->Append(DeltaRecord("t", 1)).ok());
+  EXPECT_FALSE((*writer)->Append(DeltaRecord("t", 2)).ok());
+  EXPECT_FALSE((*writer)->Sync().ok());
+
+  options.env = nullptr;
+  std::vector<uint64_t> replayed;
+  for (const WalRecord& r : Replayed(options)) {
+    replayed.push_back(r.base_version);
+  }
+  EXPECT_EQ(replayed, (std::vector<uint64_t>{0}));
 }
 
 TEST(WalFaultTest, FsyncFailureSurfacesThroughAppend) {
