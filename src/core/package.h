@@ -83,7 +83,6 @@ struct EvalStats {
   int64_t groups_refined = 0;
   int64_t backtracks = 0;
   bool used_hybrid_sketch = false;
-  int64_t recursion_depth = 0;
   /// Refine subproblems whose cached model was re-targeted in place
   /// (CompiledQuery::UpdateModelOffsets) instead of rebuilt.
   int64_t warm_model_reuses = 0;
@@ -94,7 +93,7 @@ struct EvalStats {
 
   // Out-of-core storage counters (relation/block_store.h), filled by the
   // base-relation scan; zero over sources without block statistics (the
-  // in-memory Table) or on the scalar pipeline.
+  // in-memory Table).
   /// Storage blocks whose zone maps were consulted and scanned.
   int64_t blocks_scanned = 0;
   /// Storage blocks skipped whole: their zone maps were disjoint from a
@@ -110,13 +109,6 @@ struct EvalStats {
   /// This statement missed the cross-query cache (its artifacts were
   /// stored for the next identical statement).
   int64_t cache_misses = 0;
-
-  // Parallel-evaluation counters (core/parallel.h; zero elsewhere).
-  int threads_used = 0;
-  /// Speculative parallel refinement conflicted and the evaluator fell
-  /// back to the sequential algorithm (paper §4.5's predicted failure
-  /// mode for naive group-parallel refinement).
-  bool parallel_fallback = false;
 
   void Accumulate(const ilp::IlpStats& ilp);
 };

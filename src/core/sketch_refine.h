@@ -17,10 +17,11 @@
 //            the aggregates of the rest of the package; on infeasibility,
 //            backtrack and prioritize the failed groups.
 //
-// When a subproblem exceeds `max_subproblem_size` variables, it is solved
-// recursively: the candidate set is re-partitioned on the fly and the same
-// sketch+refine machinery runs one level down (Sections 4.2.1/4.2.2 both
-// note this recursive escape hatch).
+// Every subproblem is solved as one ILP over its candidates, so a refine
+// ILP has one variable per candidate of its group. The paper (Sections
+// 4.2.1/4.2.2) also allows re-partitioning an oversized subproblem and
+// recursing one level down; this implementation does not, and the offline
+// partitioning's size threshold is what keeps refine ILPs small.
 //
 // Guarantees: SKETCHREFINE returns feasible packages only; with a radius-
 // limited partitioning (omega from Theorem 3 Eq. 1) the objective is within
@@ -37,19 +38,17 @@
 namespace paql::core {
 
 /// Strategy-specific knobs on top of the shared execution context. The
-/// inherited fields map onto SKETCHREFINE as follows: `limits` budgets
-/// every subproblem ILP (sketch, refine, hybrid); `seed` randomizes the
-/// initial refinement order of Algorithm 2; `cancel` is checked before
-/// every subproblem solve (the parallel ordering race of paper §4.5 uses
-/// it to stop losing orderings once a winner finishes).
+/// inherited fields map onto SKETCHREFINE as follows: `limits.time_limit_s`
+/// bounds the whole run (each sketch, refine and hybrid ILP gets only the
+/// time that remains, and the run returns kResourceExhausted once none
+/// does), while the node and memory caps apply to each of those ILPs;
+/// `seed` randomizes the hybrid-sketch group order and the initial
+/// refinement order of Algorithm 2; `cancel` is checked before every
+/// subproblem solve.
 struct SketchRefineOptions : engine::ExecContext {
   /// Enable the hybrid sketch fallback (the paper's experiments use it as
   /// "the only strategy to cope with infeasible initial queries").
   bool use_hybrid_sketch = true;
-
-  /// Subproblems larger than this recurse into a nested sketch+refine
-  /// (0 = never recurse; solve everything directly).
-  size_t max_subproblem_size = 0;
 };
 
 /// Evaluates package queries with the SKETCHREFINE algorithm over a fixed

@@ -39,9 +39,11 @@ struct PhaseTimings {
 /// context means: unlimited solver budgets, default branch-and-bound, no
 /// cancellation, seed 42.
 struct ExecContext {
-  /// Budgets applied to every ILP solve the strategy performs (DIRECT's
-  /// single solve, each SKETCHREFINE subproblem, each Dinkelbach
-  /// iteration, the LP-rounding repair ILP, each top-k enumeration step).
+  /// Solver budgets. The node and memory caps apply to each ILP solve the
+  /// strategy performs. The time limit bounds DIRECT's single solve and a
+  /// whole SKETCHREFINE run (each sketch, refine and hybrid solve gets only
+  /// what remains of it); the Dinkelbach iterations, the LP-rounding repair
+  /// ILP and each top-k enumeration step still get it afresh per solve.
   ilp::SolverLimits limits;
 
   /// Branch-and-bound settings for those solves.
@@ -60,8 +62,8 @@ struct ExecContext {
   /// Only consulted when `warm_start` is on.
   ilp::IlpWarmStart* warm_basis = nullptr;
 
-  /// Seed for any randomized choice a strategy makes (e.g. SKETCHREFINE's
-  /// initial refinement order, the parallel ordering race's racer seeds).
+  /// Seed for any randomized choice a strategy makes (SKETCHREFINE's
+  /// hybrid-sketch group order and initial refinement order).
   uint64_t seed = 42;
 
   /// Warm-start the LP solver across branch-and-bound nodes and across

@@ -261,8 +261,8 @@ Result<Table> BuildRepresentatives(const ColumnSource& table,
                                    int threads = 1) {
   std::vector<ColumnDef> defs = table.schema().columns();
   // The trailing group-id column is conventionally "gid"; when the source
-  // already has one (e.g. partitioning a representative relation during
-  // recursive SketchRefine), pick the first free suffixed name.
+  // already has one (e.g. a representative relation being partitioned in
+  // turn), pick the first free suffixed name.
   std::string gid_name = "gid";
   for (int suffix = 2; table.schema().FindColumn(gid_name).has_value();
        ++suffix) {

@@ -137,7 +137,8 @@ class ColumnSource {
 /// Materialize the given rows (in order) of any source as an in-memory
 /// Table with the same schema — the storage-agnostic twin of
 /// Table::SelectRows, used where an algorithm genuinely needs an owned
-/// in-memory relation (e.g. nested SKETCHREFINE recursion).
+/// in-memory relation (e.g. re-partitioning a subset of rows, or a
+/// package's tuples).
 Table MaterializeRows(const ColumnSource& source,
                       const std::vector<RowId>& rows);
 

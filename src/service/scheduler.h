@@ -21,9 +21,10 @@
 //    immediately and the solve steps aside in bounded slices.
 //
 //  * Budgets: a per-request QueryBudget (deadline / node cap / memory cap)
-//    maps onto ilp::SolverLimits for every solve the query performs, and a
-//    caller-owned cancel flag is polled cooperatively (ExecContext::cancel)
-//    both while waiting for admission and during execution.
+//    maps onto the session's ilp::SolverLimits (ExecContext::limits says
+//    how each strategy applies them), and a caller-owned cancel flag is
+//    polled cooperatively (ExecContext::cancel) both while waiting for
+//    admission and during execution.
 #ifndef PAQL_SERVICE_SCHEDULER_H_
 #define PAQL_SERVICE_SCHEDULER_H_
 
@@ -44,7 +45,9 @@ namespace paql::service {
 enum class QueryClass { kInteractive, kBatch };
 
 /// Per-request resource budgets; 0 everywhere = unlimited (the defaults of
-/// ilp::SolverLimits). Applied to every ILP solve the query performs.
+/// ilp::SolverLimits). Queueing time is deducted from the deadline, and
+/// the rest becomes ExecContext::limits.time_limit_s (which says how each
+/// strategy applies it). The node and memory caps apply to each ILP solve.
 struct QueryBudget {
   double deadline_seconds = 0;
   int64_t max_nodes = 0;

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "common/stopwatch.h"
 #include "common/str_util.h"
 #include "core/direct.h"
 #include "core/naive.h"
@@ -282,19 +283,6 @@ TEST(SketchRefineTest, UnboundedRepetition) {
   EXPECT_TRUE(ValidatePackage(cq, s.table, r->package).ok());
 }
 
-TEST(SketchRefineTest, RecursiveSubproblemSolving) {
-  SrSetup s = MakeSetup(400, 14, 200);
-  SketchRefineOptions options;
-  // Groups hold 27+ tuples each; any refined group must recurse.
-  options.max_subproblem_size = 10;
-  SketchRefineEvaluator sr(s.table, s.partitioning, options);
-  auto cq = MustCompile(kKnapsack, s.table);
-  auto r = sr.Evaluate(cq);
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_TRUE(ValidatePackage(cq, s.table, r->package).ok());
-  EXPECT_GT(r->stats.recursion_depth, 0);
-}
-
 TEST(SketchRefineTest, ApproximationBoundHolds) {
   // Theorem 3: with a radius-limited partitioning derived from epsilon, the
   // objective is within (1 +/- eps)^6 of DIRECT. Use positive data bounded
@@ -331,6 +319,50 @@ TEST(SketchRefineTest, ApproximationBoundHolds) {
   double bound = std::pow(1.0 - eps, 6) * d->objective;
   EXPECT_GE(a->objective, bound - 1e-9);
   EXPECT_LE(a->objective, d->objective + 1e-9);  // DIRECT is optimal
+}
+
+TEST(SketchRefineTest, TimeLimitBoundsTheWholeRun) {
+  // 100k rows in groups of at most 2,000; COUNT = 40,000 spreads the sketch
+  // package over 20+ groups, so the run is a long chain of refine solves,
+  // each much shorter than the run.
+  Table t{Schema({{"x", DataType::kDouble}, {"w", DataType::kDouble}})};
+  Rng rng(5);
+  for (int i = 0; i < 100000; ++i) {
+    ASSERT_TRUE(
+        t.AppendRow({Value(rng.Uniform(0, 100)), Value(rng.Uniform(1, 10))})
+            .ok());
+  }
+  PartitionOptions popts;
+  popts.attributes = {"x", "w"};
+  popts.size_threshold = 2000;
+  auto part = PartitionTable(t, popts);
+  ASSERT_TRUE(part.ok()) << part.status();
+  auto cq = MustCompile(R"(
+      SELECT PACKAGE(R) AS P FROM T R REPEAT 0
+      SUCH THAT COUNT(P.*) = 40000 AND SUM(P.w) <= 200000
+      MAXIMIZE SUM(P.x))",
+                        t);
+  SketchRefineOptions options;
+  options.threads = 1;
+  Stopwatch unlimited_watch;
+  auto full = SketchRefineEvaluator(t, *part, options).Evaluate(cq);
+  const double unlimited_s = unlimited_watch.ElapsedSeconds();
+  ASSERT_TRUE(full.ok()) << full.status();
+  ASSERT_GE(full->stats.ilp_solves, 20);
+
+  // With 20+ similar solves, a quarter of the run is longer than any one
+  // of them, so a limit applied to each solve separately would let the
+  // query run about four limits long. The limit covers the whole run: it
+  // must stop soon after one limit (or finish, if this run is faster).
+  options.limits.time_limit_s = unlimited_s / 4;
+  Stopwatch limited_watch;
+  auto limited = SketchRefineEvaluator(t, *part, options).Evaluate(cq);
+  const double limited_s = limited_watch.ElapsedSeconds();
+  if (!limited.ok()) {
+    EXPECT_TRUE(limited.status().IsResourceExhausted()) << limited.status();
+  }
+  EXPECT_LE(limited_s, 2 * options.limits.time_limit_s)
+      << "unlimited run " << unlimited_s << " s";
 }
 
 // --- Naive self-join evaluator ---

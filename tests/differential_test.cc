@@ -33,6 +33,7 @@
 #include "core/topk.h"
 #include "model_check_util.h"
 #include "paql/ast.h"
+#include "paql/parser.h"
 #include "partition/partitioner.h"
 #include "relation/table.h"
 #include "translate/compiled_query.h"
@@ -609,6 +610,63 @@ TEST(DifferentialTest, WarmMatchesColdOn200RandomQueries) {
   EXPECT_GE(feasible, 25);
   EXPECT_GE(infeasible, 5);
   EXPECT_GT(total_warm_lp_solves, 0);
+}
+
+// One more warm-vs-cold input, fixed so that SKETCHREFINE provably takes
+// the paths the random sweep reaches only by chance: several refined
+// groups, greedy backtracking, and (warm) revisits of a group's cached
+// model. An exact COUNT and a two-sided SUM window over integer data make
+// some refine queries infeasible. Cold runs rebuild every refine model;
+// warm runs re-target the cached one. Both must return the same package.
+TEST(DifferentialTest, WarmMatchesColdOnABacktrackingSketchRefine) {
+  Rng rng(188 * 7919);
+  Table table{Schema({{"v", DataType::kDouble}, {"w", DataType::kDouble}})};
+  int n = static_cast<int>(rng.UniformInt(20, 90));
+  std::vector<double> v(n);
+  for (int i = 0; i < n; ++i) {
+    v[i] = static_cast<double>(rng.UniformInt(1, 60));
+    double w = static_cast<double>(rng.UniformInt(1, 9));
+    ASSERT_TRUE(table.AppendRow({Value(v[i]), Value(w)}).ok());
+  }
+  // The window is centred on the sum of k random distinct rows, so DIRECT
+  // is feasible; slack 2 leaves some room around it.
+  int k = static_cast<int>(rng.UniformInt(3, 8));
+  std::vector<int> order(n);
+  for (int i = 0; i < n; ++i) order[i] = i;
+  rng.Shuffle(order);
+  double target = 0;
+  for (int i = 0; i < k; ++i) target += v[order[i]];
+  auto query = lang::ParsePackageQuery(StrCat(
+      "SELECT PACKAGE(R) AS P FROM R REPEAT 0 SUCH THAT COUNT(P.*) = ", k,
+      " AND SUM(P.v) BETWEEN ", target - 2, " AND ", target + 2,
+      " MAXIMIZE SUM(P.w)"));
+  ASSERT_TRUE(query.ok()) << query.status();
+  auto cq = CompiledQuery::Compile(*query, table.schema());
+  ASSERT_TRUE(cq.ok()) << cq.status();
+  SCOPED_TRACE(lang::ToString(*query));
+
+  partition::PartitionOptions popts;
+  popts.attributes = {"v", "w"};
+  popts.size_threshold = static_cast<size_t>(n) / 6 + 1;
+  auto partitioning = partition::PartitionTable(table, popts);
+  ASSERT_TRUE(partitioning.ok()) << partitioning.status();
+
+  core::SketchRefineOptions warm_opts, cold_opts;
+  cold_opts.warm_start = false;
+  auto warm = core::SketchRefineEvaluator(table, *partitioning, warm_opts)
+                  .Evaluate(*cq);
+  auto cold = core::SketchRefineEvaluator(table, *partitioning, cold_opts)
+                  .Evaluate(*cq);
+  int feasible = 0, infeasible = 0;
+  ExpectSameOutcome(*cq, table, warm, cold, &feasible, &infeasible);
+  ASSERT_EQ(feasible, 1);
+  EXPECT_EQ(warm->package.rows, cold->package.rows);
+  EXPECT_EQ(warm->package.multiplicity, cold->package.multiplicity);
+  // Vacuity guards: the instance must exercise what it is here for.
+  EXPECT_GT(warm->stats.groups_refined, 1);
+  EXPECT_GT(warm->stats.backtracks, 0);
+  EXPECT_GT(cold->stats.backtracks, 0);
+  EXPECT_GT(warm->stats.warm_model_reuses, 0);
 }
 
 // ---------------------------------------------------------------------------
