@@ -12,7 +12,10 @@
 //     append-ordered, so an objid window skips whole blocks),
 //   * DIRECT and SKETCHREFINE under a block-cache budget a quarter of
 //     the raw column bytes, checked bit-identical against the in-memory
-//     Table path (packages and objectives compared exactly).
+//     Table path (packages and objectives compared exactly),
+//   * the offline partitioning built over the DiskTable: its time, and
+//     the blocks it decoded next to the distinct blocks of the numeric
+//     columns it reads (each should be decoded at most once).
 //
 // Dataset: MakeGalaxyTable quantized to 4 decimal digits. The synthetic
 // generator emits full-entropy mantissas, which no lossless encoder can
@@ -24,8 +27,9 @@
 // Default size is 10M rows (~1.1 GB raw); --quick shrinks to 500k for CI
 // smoke runs. The regression guard (scripts/check_bench_regression.py)
 // always enforces the correctness invariants recorded here (identical
-// results, pruned blocks > 0, on-disk <= 50% of raw) and compares the
-// scale-dependent numbers only between runs of the same row count.
+// results, pruned blocks > 0, on-disk <= 50% of raw, partition block
+// decodes <= 1.1x distinct blocks) and compares the scale-dependent
+// numbers only between runs of the same row count.
 #include <unistd.h>
 
 #include <cstdio>
@@ -115,6 +119,8 @@ struct QuerySection {
   double direct_disk_seconds = 0;
   int64_t direct_blocks_pruned = 0;
   double partition_disk_seconds = 0;
+  int64_t partition_block_decodes = 0;   // blocks the build decoded
+  int64_t partition_distinct_blocks = 0; // blocks of its numeric columns
   double sketchrefine_mem_seconds = 0;
   double sketchrefine_disk_seconds = 0;
   int64_t sketchrefine_blocks_pruned = 0;
@@ -169,6 +175,10 @@ Status WriteBenchScanJson(const std::string& path, size_t rows,
      << ",\n";
   os << "    \"partition_disk_seconds\": "
      << FormatDouble(queries.partition_disk_seconds, 3) << ",\n";
+  os << "    \"partition_block_decodes\": " << queries.partition_block_decodes
+     << ",\n";
+  os << "    \"partition_distinct_blocks\": "
+     << queries.partition_distinct_blocks << ",\n";
   os << "    \"sketchrefine_mem_seconds\": "
      << FormatDouble(queries.sketchrefine_mem_seconds, 3) << ",\n";
   os << "    \"sketchrefine_disk_seconds\": "
@@ -343,9 +353,22 @@ void Run(const BenchConfig& config) {
     popts.attributes = {"petroRad_r", "g"};
     popts.size_threshold = std::min<size_t>(rows / 10, 16384);
     Stopwatch part_watch;
+    const int64_t decodes_before = disk.BlocksDecoded();
     auto partitioning = partition::PartitionTable(disk, popts);
     PAQL_CHECK_MSG(partitioning.ok(), partitioning.status());
     queries.partition_disk_seconds = part_watch.ElapsedSeconds();
+    // The build reads each numeric column once, so it decodes each of
+    // their blocks at most once (fewer when the scans above left some
+    // cached); the regression guard holds it to that.
+    queries.partition_block_decodes = disk.BlocksDecoded() - decodes_before;
+    size_t numeric_columns = 0;
+    for (size_t c = 0; c < disk.num_columns(); ++c) {
+      if (disk.schema().column(c).type != relation::DataType::kString) {
+        ++numeric_columns;
+      }
+    }
+    queries.partition_distinct_blocks =
+        static_cast<int64_t>(numeric_columns * disk.num_blocks());
 
     auto cq = MustCompile(
         StrCat("SELECT PACKAGE(G) AS P FROM Galaxy G REPEAT 0",
@@ -390,6 +413,9 @@ void Run(const BenchConfig& config) {
                    FormatDouble(queries.sketchrefine_disk_seconds, 3))});
   t.AddRow({"partition over disk (s)",
             FormatDouble(queries.partition_disk_seconds, 3)});
+  t.AddRow({"partition block decodes / distinct",
+            StrCat(queries.partition_block_decodes, " / ",
+                   queries.partition_distinct_blocks)});
   t.Print(std::cout);
 
   Status json = WriteBenchScanJson("BENCH_scan.json", rows, raw_bytes,

@@ -63,7 +63,10 @@ Two families of checks, both bounded by MAX_REGRESS (default 0.25):
   * out-of-core storage — BENCH_scan.json files (bench == "scan_oocore").
     The correctness invariants (disk results bit-identical to memory,
     zone maps pruning blocks, on-disk <= 50% of raw) are enforced on the
-    CURRENT run unconditionally — they hold at any scale. The
+    CURRENT run unconditionally — they hold at any scale. So is the
+    partition build's read count: it may decode at most 1.1x the distinct
+    blocks of the columns it reads (each column is read once). The guard
+    compares counts, not times, so it holds on any machine. The
     scale-dependent numbers (compression ratio, cache hit rate, pruned
     block counts) are compared only when both runs used the same row
     count, and scan throughput additionally requires matching
@@ -333,6 +336,20 @@ def main() -> int:
                 print(f"ok scan invariants: identical results, "
                       f"{cur_scan.get('selective_blocks_pruned')} blocks pruned, "
                       f"on-disk ratio {cur_ratio:g}")
+            decodes = cur_queries.get("partition_block_decodes")
+            distinct = cur_queries.get("partition_distinct_blocks")
+            if decodes is None or distinct is None:
+                failures.append("scan: partition_block_decodes or "
+                                "partition_distinct_blocks missing from "
+                                "current run")
+            elif decodes > distinct * 1.1:
+                failures.append(
+                    f"scan: partition build decoded {decodes} blocks, more "
+                    f"than 1.1 x its {distinct} distinct blocks (a column "
+                    f"is being re-read)")
+            else:
+                print(f"ok scan partition reads: {decodes} block decodes for "
+                      f"{distinct} distinct blocks")
 
             rows_match = base.get("rows") == cur.get("rows")
             if rows_match:

@@ -34,6 +34,9 @@ RatioObjectiveEvaluator::RatioObjectiveEvaluator(const ColumnSource& table,
 Result<EvalResult> RatioObjectiveEvaluator::Evaluate(
     const lang::PackageQuery& query) const {
   Stopwatch total;
+  // One time limit for the whole evaluation: each Dinkelbach solve gets
+  // only the time that remains of it.
+  const Deadline deadline(options_.limits.time_limit_s);
   if (!query.objective.has_value() || query.objective->expr == nullptr ||
       query.objective->expr->kind != lang::GlobalKind::kAgg ||
       query.objective->expr->agg->func != relation::AggFunc::kAvg) {
@@ -131,12 +134,15 @@ Result<EvalResult> RatioObjectiveEvaluator::Evaluate(
     if (options_.Cancelled()) {
       return Status::ResourceExhausted("evaluation cancelled");
     }
+    PAQL_ASSIGN_OR_RETURN(
+        ilp::SolverLimits limits,
+        ilp::RemainingLimits(options_.limits, deadline, "Dinkelbach"));
     for (size_t k = 0; k < rows.size(); ++k) {
       model.set_obj_coef(static_cast<int>(k),
                          numerator[k] - lambda * denominator[k]);
     }
-    auto sol = ilp::SolveIlp(model, options_.limits,
-                             options_.EffectiveBranchAndBound(), &warm);
+    auto sol = ilp::SolveIlp(model, limits, options_.EffectiveBranchAndBound(),
+                             &warm);
     if (!sol.ok()) {
       if (sol.status().IsInfeasible()) {
         return Status::Infeasible(

@@ -42,8 +42,9 @@ namespace paql::core {
 
 /// Evaluates package queries whose objective is MINIMIZE/MAXIMIZE AVG(...).
 /// The rest of the query (WHERE / SUCH THAT / REPEAT) is unrestricted
-/// within PaQL's linear fragment. `limits`/`branch_and_bound` budget each
-/// inner ILP solve (one per parametric iteration).
+/// within PaQL's linear fragment. `branch_and_bound` and the node and
+/// memory `limits` budget each inner ILP solve (one per parametric
+/// iteration); the time limit covers all iterations together.
 class RatioObjectiveEvaluator {
  public:
   explicit RatioObjectiveEvaluator(const relation::ColumnSource& table,

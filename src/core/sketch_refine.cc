@@ -122,15 +122,9 @@ class Driver {
           StrCat("SketchRefine exceeded ", max_attempts_,
                  " subproblem solves (excessive backtracking)"));
     }
-    ilp::SolverLimits limits = options_.limits;
-    if (limits.time_limit_s > 0) {
-      limits.time_limit_s = deadline_.RemainingSeconds();
-      if (limits.time_limit_s <= 0) {
-        return Status::ResourceExhausted(
-            StrCat("SketchRefine exceeded its time limit of ",
-                   options_.limits.time_limit_s, "s"));
-      }
-    }
+    PAQL_ASSIGN_OR_RETURN(
+        ilp::SolverLimits limits,
+        ilp::RemainingLimits(options_.limits, deadline_, "SketchRefine"));
     auto sol = ilp::SolveIlp(model, limits, options_.EffectiveBranchAndBound(),
                              warm);
     if (sol.ok()) stats_.Accumulate(sol->stats);

@@ -38,6 +38,9 @@ Result<std::vector<EvalResult>> EnumerateTopPackages(
     return Status::InvalidArgument("min_difference must be at least 1");
   }
 
+  // One time limit for the whole enumeration: each of the k solves gets
+  // only the time that remains of it.
+  const Deadline deadline(options.limits.time_limit_s);
   std::vector<RowId> candidates =
       query.ComputeBaseRowsVectorized(table, options.EffectiveThreads());
   translate::CompiledQuery::BuildOptions build;
@@ -50,9 +53,12 @@ Result<std::vector<EvalResult>> EnumerateTopPackages(
     if (options.Cancelled()) {
       return Status::ResourceExhausted("enumeration cancelled");
     }
+    PAQL_ASSIGN_OR_RETURN(
+        ilp::SolverLimits limits,
+        ilp::RemainingLimits(options.limits, deadline, "top-k enumeration"));
     Stopwatch watch;
-    auto solution = ilp::SolveIlp(model, options.limits,
-                                  options.EffectiveBranchAndBound());
+    auto solution =
+        ilp::SolveIlp(model, limits, options.EffectiveBranchAndBound());
     if (!solution.ok()) {
       if (solution.status().IsInfeasible()) break;  // space ran dry
       return solution.status();

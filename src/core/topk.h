@@ -28,8 +28,9 @@
 
 namespace paql::core {
 
-/// Enumeration-specific knobs; the inherited `limits`/`branch_and_bound`
-/// budget each of the k ILP solves.
+/// Enumeration-specific knobs; the inherited `branch_and_bound` and the
+/// node and memory `limits` budget each of the k ILP solves, and the time
+/// limit covers all k together.
 struct TopKOptions : engine::ExecContext {
   /// How many packages to return (fewer when the space runs dry).
   size_t k = 5;

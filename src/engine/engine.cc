@@ -386,6 +386,8 @@ Session::PartitioningFor(const ResolvedQuery& resolved, Plan* plan) {
   auto partitioning =
       std::make_shared<const partition::Partitioning>(std::move(*built));
   plan->partition_groups = partitioning->num_groups();
+  plan->partition_build_ms = partitioning->build_seconds * 1e3;
+  plan->partition_block_reads = partitioning->build_block_reads;
   if (!key.empty()) cache_->StorePartitioning(key, partitioning);
   return partitioning;
 }

@@ -139,7 +139,14 @@ std::string Plan::Explain() const {
       if (i > 0) os << ", ";
       os << partition_attributes[i];
     }
-    os << "] (" << (partitioning_reused ? "cached" : "built") << ")\n";
+    os << "] (";
+    if (partitioning_reused) {
+      os << "cached";
+    } else {
+      os << "built in " << FormatDouble(partition_build_ms, 3) << " ms, "
+         << partition_block_reads << " block reads";
+    }
+    os << ")\n";
   }
   if (root_cuts.has_value()) {
     os << "root cuts: " << root_cuts->added << " added in "

@@ -93,6 +93,10 @@ struct Plan {
   size_t partition_size_threshold = 0;  // tau
   size_t partition_groups = 0;
   bool partitioning_reused = false;     // cache hit (vs built for this query)
+  /// The build of a partitioning made for this query: wall time and
+  /// blocks decoded from storage (partition::Partitioning::build_*).
+  double partition_build_ms = 0;
+  int64_t partition_block_reads = 0;
 
   /// The root cut loop of an executed plan, summed over its ILP solves
   /// (core::EvalStats::cut_*). Filled by the session after evaluation and

@@ -11,6 +11,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
+
+#include "common/status.h"
+#include "common/stopwatch.h"
+#include "common/str_util.h"
 
 namespace paql::ilp {
 
@@ -45,6 +50,25 @@ struct SolverLimits {
 
   static SolverLimits Unlimited() { return SolverLimits{}; }
 };
+
+/// The limits of the next solve in a run of several (SKETCHREFINE's
+/// subproblems, Dinkelbach iterations, top-k rounds) that share one time
+/// budget: `limits` with the time limit cut to what remains until
+/// `deadline`, which the run started at its first solve. Once nothing
+/// remains, fails with ResourceExhausted naming the run (`what`). Limits
+/// without a time limit pass through unchanged.
+inline Result<SolverLimits> RemainingLimits(const SolverLimits& limits,
+                                            const Deadline& deadline,
+                                            std::string_view what) {
+  if (limits.time_limit_s <= 0) return limits;
+  SolverLimits out = limits;
+  out.time_limit_s = deadline.RemainingSeconds();
+  if (out.time_limit_s <= 0) {
+    return Status::ResourceExhausted(StrCat(what, " exceeded its time limit of ",
+                                            limits.time_limit_s, "s"));
+  }
+  return out;
+}
 
 }  // namespace paql::ilp
 

@@ -11,7 +11,6 @@ namespace paql::partition {
 
 using relation::RowId;
 using relation::ColumnSource;
-using relation::Table;
 
 namespace {
 
@@ -209,8 +208,7 @@ Result<AbsorbResult> AbsorbBatch(const ColumnSource& table,
       final_dirty.push_back(dirty[g]);
       continue;
     }
-    // Re-partition the group's rows in isolation and map back.
-    Table sub = relation::MaterializeRows(table, groups[g]);
+    // Re-partition the group's rows in isolation.
     PartitionOptions popts;
     popts.attributes = old.attributes;
     // A zero threshold means "no size condition": split on radius only.
@@ -219,17 +217,15 @@ Result<AbsorbResult> AbsorbBatch(const ColumnSource& table,
     popts.radius_limit = old.radius_limit > 0 && std::isfinite(old.radius_limit)
                              ? old.radius_limit
                              : std::numeric_limits<double>::infinity();
-    PAQL_ASSIGN_OR_RETURN(Partitioning nested, PartitionTable(sub, popts));
+    PAQL_ASSIGN_OR_RETURN(std::vector<std::vector<RowId>> fragments,
+                          QuadTreeGroups(table, groups[g], popts));
     ++out.groups_split;
-    for (size_t sg = 0; sg < nested.groups.size(); ++sg) {
-      std::vector<RowId> mapped;
-      mapped.reserve(nested.groups[sg].size());
-      for (RowId sr : nested.groups[sg]) mapped.push_back(groups[g][sr]);
+    for (size_t sg = 0; sg < fragments.size(); ++sg) {
       if (sg == 0) {
-        final_groups.push_back(std::move(mapped));  // keeps slot g
+        final_groups.push_back(std::move(fragments[sg]));  // keeps slot g
         final_dirty.push_back(true);
       } else {
-        overflow_groups.push_back(std::move(mapped));
+        overflow_groups.push_back(std::move(fragments[sg]));
       }
     }
   }

@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
+#include <numeric>
 
+#include "common/simd.h"
+#include "common/stopwatch.h"
 #include "common/str_util.h"
 #include "common/thread_pool.h"
 #include "relation/chunk.h"
@@ -12,6 +16,8 @@
 namespace paql::partition {
 
 using relation::ColumnDef;
+using relation::kChunkSize;
+using relation::kMorselRows;
 using relation::DataType;
 using relation::RowId;
 using relation::Schema;
@@ -20,12 +26,6 @@ using relation::Table;
 using relation::Value;
 
 namespace {
-
-/// Mean of `col` over `rows` (chunked gather, relation/chunk.h).
-double ColumnMean(const ColumnSource& table, const std::vector<RowId>& rows,
-                  size_t col) {
-  return relation::GatherMean(table, col, rows);
-}
 
 /// Run fn(i) for i in [0, n), in parallel off the shared pool when
 /// `threads` > 1. Every i writes its own slot, so results never depend on
@@ -44,88 +44,193 @@ void ParallelIndexFor(size_t n, int threads, const Fn& fn) {
                                    });
 }
 
-/// Per-attribute means over `rows` (the group centroid), computed in
-/// parallel across attributes: each mean's accumulation stays serial, so
-/// the centroid is bit-identical for any worker count.
+// --- Gather path: groups given as arbitrary row lists ---------------------
+
+/// Per-attribute means over `rows` (the group centroid), each a chunked
+/// gather (relation/chunk.h) accumulated in list order.
 std::vector<double> GroupCentroid(const ColumnSource& table,
                                   const std::vector<RowId>& rows,
-                                  const std::vector<size_t>& cols,
-                                  int threads) {
+                                  const std::vector<size_t>& cols) {
   std::vector<double> centroid(cols.size());
-  ParallelIndexFor(cols.size(), threads, [&](size_t k) {
-    centroid[k] = ColumnMean(table, rows, cols[k]);
-  });
+  for (size_t k = 0; k < cols.size(); ++k) {
+    centroid[k] = relation::GatherMean(table, cols[k], rows);
+  }
   return centroid;
-}
-
-/// Per-attribute max |centroid - value| over `rows`. The folds run in
-/// parallel across attributes (max is exactly associative, so the result
-/// is unchanged).
-std::vector<double> AttributeRadii(const ColumnSource& table,
-                                   const std::vector<RowId>& rows,
-                                   const std::vector<size_t>& cols,
-                                   const std::vector<double>& centroid,
-                                   int threads = 1) {
-  std::vector<double> per_attr(cols.size(), 0.0);
-  ParallelIndexFor(cols.size(), threads, [&](size_t k) {
-    per_attr[k] =
-        relation::GatherMaxAbsDeviation(table, cols[k], rows, centroid[k]);
-  });
-  return per_attr;
-}
-
-/// The group radius: the largest per-attribute radius.
-double MaxRadius(const std::vector<double>& per_attr) {
-  double radius = 0;
-  for (double r : per_attr) radius = std::max(radius, r);
-  return radius;
 }
 
 /// Max |centroid - value| over `rows` across the partitioning columns.
 double GroupRadius(const ColumnSource& table, const std::vector<RowId>& rows,
                    const std::vector<size_t>& cols,
                    const std::vector<double>& centroid) {
-  return MaxRadius(AttributeRadii(table, rows, cols, centroid));
+  double radius = 0;
+  for (size_t k = 0; k < cols.size(); ++k) {
+    radius = std::max(radius, relation::GatherMaxAbsDeviation(
+                                  table, cols[k], rows, centroid[k]));
+  }
+  return radius;
+}
+
+// --- Dense path: the quad-tree over columns read once ---------------------
+
+/// One numeric column as a dense array of raw values. `values` points at
+/// the source's own storage when it keeps the column contiguously (an
+/// in-memory DOUBLE column, read in place), else at `owned` (a move keeps
+/// that buffer, so the pointer survives one).
+struct DenseColumn {
+  const double* values = nullptr;
+  std::vector<double> owned;
+};
+
+/// Rows [start, start + len) of `col` into out[0, len), in contiguous
+/// chunks.
+void ReadRange(const ColumnSource& table, size_t col, size_t start,
+               size_t len, double* out) {
+  relation::NumericBatch batch;
+  for (size_t off = 0; off < len; off += kChunkSize) {
+    relation::RowSpan span;
+    span.start = static_cast<RowId>(start + off);
+    span.len = static_cast<uint32_t>(std::min(kChunkSize, len - off));
+    table.LoadChunkRaw(col, span, &batch);
+    std::memcpy(out + off, batch.values.data(), span.len * sizeof(double));
+  }
+}
+
+/// Rows [0, num_rows()) of `col`, read once.
+DenseColumn ReadColumn(const ColumnSource& table, size_t col) {
+  DenseColumn out;
+  out.values = table.ContiguousDoubles(col);
+  if (out.values != nullptr) return out;
+  out.owned.resize(table.num_rows());
+  ReadRange(table, col, 0, out.owned.size(), out.owned.data());
+  out.values = out.owned.data();
+  return out;
+}
+
+/// `rows` of `col` in list order (element i is row rows[i]), gathered in
+/// chunks.
+DenseColumn GatherColumn(const ColumnSource& table, size_t col,
+                         const std::vector<RowId>& rows) {
+  DenseColumn out;
+  out.owned.resize(rows.size());
+  relation::NumericBatch batch;
+  for (size_t off = 0; off < rows.size(); off += kChunkSize) {
+    relation::RowSpan span;
+    span.rows = rows.data() + off;
+    span.len = static_cast<uint32_t>(std::min(kChunkSize, rows.size() - off));
+    table.LoadChunkRaw(col, span, &batch);
+    std::memcpy(out.owned.data() + off, batch.values.data(),
+                span.len * sizeof(double));
+  }
+  out.values = out.owned.data();
+  return out;
+}
+
+/// Attributes folded in one pass over a group's rows: their add and max
+/// chains are independent, so they overlap in the pipeline.
+constexpr size_t kFoldWidth = 4;
+
+/// Centroid and per-attribute radius of the non-empty group `rows` for
+/// attributes [first, first + kFoldWidth) of `columns` (fewer at the end),
+/// written to centroid[k] and radius[k]. Both equal the relation/chunk.h
+/// reductions over the source bit for bit:
+///  * a centroid coordinate is a serial sum in list order divided by the
+///    row count, exactly relation::GatherMean;
+///  * a radius is max |value - centroid|. Deviations are never negative
+///    and every fold kernel (simd::FoldMaxAbsDeviation, its scalar form
+///    here) skips NaN, so the maximum does not depend on the visiting
+///    order and equals relation::GatherMaxAbsDeviation.
+void FoldGroup(const std::vector<DenseColumn>& columns, size_t first,
+               const std::vector<RowId>& rows, double* centroid,
+               double* radius) {
+  const size_t width = std::min(kFoldWidth, columns.size() - first);
+  // Lanes past `width` repeat the last attribute; their results are
+  // dropped.
+  std::array<const double*, kFoldWidth> v;
+  for (size_t j = 0; j < kFoldWidth; ++j) {
+    v[j] = columns[first + std::min(j, width - 1)].values;
+  }
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  for (RowId r : rows) {
+    s0 += v[0][r];
+    s1 += v[1][r];
+    s2 += v[2][r];
+    s3 += v[3][r];
+  }
+  const double n = static_cast<double>(rows.size());
+  const std::array<double, kFoldWidth> c = {s0 / n, s1 / n, s2 / n, s3 / n};
+  auto fold = [](double value, double center, double& acc) {
+    const double a = std::abs(value - center);
+    acc = a > acc ? a : acc;
+  };
+  double r0 = 0.0, r1 = 0.0, r2 = 0.0, r3 = 0.0;
+  for (RowId r : rows) {
+    fold(v[0][r], c[0], r0);
+    fold(v[1][r], c[1], r1);
+    fold(v[2][r], c[2], r2);
+    fold(v[3][r], c[3], r3);
+  }
+  const std::array<double, kFoldWidth> rad = {r0, r1, r2, r3};
+  for (size_t j = 0; j < width; ++j) {
+    centroid[first + j] = c[j];
+    radius[first + j] = rad[j];
+  }
 }
 
 /// Quadrants per split level: at most 4 split attributes, so a row's
 /// quadrant is a 4-bit mask.
-constexpr size_t kMaxQuadrants = 16;
+constexpr size_t kMaxSplitAttributes = 4;
+constexpr size_t kMaxQuadrants = size_t{1} << kMaxSplitAttributes;
 
-/// Recursive quad-tree splitter.
+/// Recursive quad-tree splitter over dense attribute arrays: `columns[k]`
+/// holds partitioning attribute k for every row id in [0, num_rows).
 class QuadTreeBuilder {
  public:
-  QuadTreeBuilder(const ColumnSource& table, const PartitionOptions& options,
-                  std::vector<size_t> part_cols)
-      : table_(table), options_(options), part_cols_(std::move(part_cols)) {
-    // Full-table value range per attribute (split-score normalization),
-    // scanned chunk at a time; the min/max folds run morsel-parallel.
-    attr_scale_.assign(part_cols_.size(), 0.0);
-    for (size_t k = 0; k < part_cols_.size(); ++k) {
-      auto [lo, hi] =
-          relation::ColumnMinMax(table, part_cols_[k], options.threads);
-      attr_scale_[k] = table.num_rows() > 0 ? hi - lo : 0.0;
+  QuadTreeBuilder(const std::vector<DenseColumn>& columns, size_t num_rows,
+                  const PartitionOptions& options)
+      : columns_(columns), options_(options) {
+    // Value range per attribute over all the rows (split-score
+    // normalization). The fold order can only change the sign of a zero
+    // bound, which no difference hi - lo can show.
+    attr_scale_.assign(columns_.size(), 0.0);
+    for (size_t k = 0; k < columns_.size(); ++k) {
+      double lo = std::numeric_limits<double>::infinity(), hi = -lo;
+      simd::FoldMinMax(columns_[k].values, static_cast<uint32_t>(num_rows),
+                       &lo, &hi);
+      attr_scale_[k] = num_rows > 0 ? hi - lo : 0.0;
     }
   }
 
-  Status Build(std::vector<RowId> all_rows, Partitioning* out) {
-    PAQL_RETURN_IF_ERROR(Split(std::move(all_rows), 0, out));
-    return Status::OK();
+  /// Split `rows` into groups (appended to `groups`, each keeping the
+  /// rows' relative order) and their radii.
+  void Build(std::vector<RowId> rows,
+             std::vector<std::vector<RowId>>* groups,
+             std::vector<double>* radius) {
+    groups_ = groups;
+    radius_ = radius;
+    Split(std::move(rows), 0);
   }
 
  private:
-  Status Split(std::vector<RowId> rows, int depth, Partitioning* out) {
-    if (rows.empty()) return Status::OK();
-    std::vector<double> centroid =
-        GroupCentroid(table_, rows, part_cols_, options_.threads);
-    std::vector<double> attr_radius = AttributeRadii(
-        table_, rows, part_cols_, centroid, options_.threads);
-    double radius = MaxRadius(attr_radius);
+  void Split(std::vector<RowId> rows, int depth) {
+    if (rows.empty()) return;
+    // Per-attribute centroid and radius, in parallel across attribute
+    // passes; each attribute's fold stays serial, so the result is
+    // bit-identical for any worker count.
+    const size_t k_attrs = columns_.size();
+    std::vector<double> centroid(k_attrs), attr_radius(k_attrs);
+    ParallelIndexFor(
+        (k_attrs + kFoldWidth - 1) / kFoldWidth, options_.threads,
+        [&](size_t pass) {
+          FoldGroup(columns_, pass * kFoldWidth, rows, centroid.data(),
+                    attr_radius.data());
+        });
+    double radius = 0;
+    for (double r : attr_radius) radius = std::max(radius, r);
     bool size_ok = rows.size() <= options_.size_threshold;
     bool radius_ok = radius <= options_.radius_limit;
     if ((size_ok && radius_ok) || depth >= options_.max_depth) {
-      Finalize(std::move(rows), radius, out);
-      return Status::OK();
+      Finalize(std::move(rows), radius);
+      return;
     }
     // Partition around the centroid into sub-quadrants. Splitting on all k
     // attributes at once would create up to 2^k children and shatter the
@@ -150,52 +255,56 @@ class QuadTreeBuilder {
       for (size_t start = 0; start < rows.size(); start += chunk) {
         size_t end = std::min(rows.size(), start + chunk);
         std::vector<RowId> part(rows.begin() + start, rows.begin() + end);
-        Finalize(std::move(part), 0.0, out);
+        Finalize(std::move(part), 0.0);
       }
-      return Status::OK();
+      return;
     }
     // The children hold every row; release the parent's list before
     // recursing. Children go in ascending mask order (deterministic).
     std::vector<RowId>().swap(rows);
     for (auto& quadrant : quadrants) {
       if (quadrant.empty()) continue;
-      PAQL_RETURN_IF_ERROR(Split(std::move(quadrant), depth + 1, out));
+      Split(std::move(quadrant), depth + 1);
     }
-    return Status::OK();
   }
 
   /// Bucket `rows` by quadrant: bit k of a row's mask is set when its value
-  /// of split attribute k lies above the centroid. Values are read a chunk
-  /// at a time through LoadChunkRaw (one block lookup per block a chunk
-  /// touches, not one per row), and each bucket keeps the rows' order.
+  /// of split attribute k lies above the centroid. Each bucket keeps the
+  /// rows' order and is allocated once, at its final size.
   std::array<std::vector<RowId>, kMaxQuadrants> SplitQuadrants(
       const std::vector<RowId>& rows, const std::vector<size_t>& split_attrs,
       const std::vector<double>& centroid) const {
-    std::array<std::vector<RowId>, kMaxQuadrants> quadrants;
-    relation::NumericBatch batch;
-    std::array<uint8_t, relation::kChunkSize> mask;
-    for (size_t off = 0; off < rows.size(); off += relation::kChunkSize) {
-      relation::RowSpan span;
-      span.rows = rows.data() + off;
-      span.len = static_cast<uint32_t>(
-          std::min(relation::kChunkSize, rows.size() - off));
-      std::fill_n(mask.begin(), span.len, uint8_t{0});
-      for (size_t k = 0; k < split_attrs.size(); ++k) {
-        const size_t a = split_attrs[k];
-        table_.LoadChunkRaw(part_cols_[a], span, &batch);
-        const double c = centroid[a];
-        for (uint32_t i = 0; i < span.len; ++i) {
-          mask[i] |= static_cast<uint8_t>(batch.values[i] > c) << k;
-        }
-      }
-      for (uint32_t i = 0; i < span.len; ++i) {
-        quadrants[mask[i]].push_back(span.rows[i]);
-      }
+    const size_t width = split_attrs.size();
+    std::array<const double*, kMaxSplitAttributes> values;
+    std::array<double, kMaxSplitAttributes> center;
+    for (size_t k = 0; k < width; ++k) {
+      values[k] = columns_[split_attrs[k]].values;
+      center[k] = centroid[split_attrs[k]];
     }
+    // Masks, and bucket sizes counted in four interleaved histograms so
+    // that runs of one quadrant do not serialize on a single counter.
+    std::vector<uint8_t> mask(rows.size());
+    std::array<std::array<size_t, kMaxQuadrants>, 4> counts{};
+    for (size_t i = 0; i < rows.size(); ++i) {
+      unsigned bits = 0;
+      for (size_t k = 0; k < width; ++k) {
+        bits |= static_cast<unsigned>(values[k][rows[i]] > center[k]) << k;
+      }
+      mask[i] = static_cast<uint8_t>(bits);
+      ++counts[i & 3][bits];
+    }
+    std::array<std::vector<RowId>, kMaxQuadrants> quadrants;
+    std::array<RowId*, kMaxQuadrants> cursor;
+    for (size_t q = 0; q < kMaxQuadrants; ++q) {
+      quadrants[q].resize(counts[0][q] + counts[1][q] + counts[2][q] +
+                          counts[3][q]);
+      cursor[q] = quadrants[q].data();
+    }
+    for (size_t i = 0; i < rows.size(); ++i) *cursor[mask[i]]++ = rows[i];
     return quadrants;
   }
 
-  /// Indices (into part_cols_) of the attributes to split on at this level,
+  /// Indices (into columns_) of the attributes to split on at this level,
   /// from the group's per-attribute radii. `size_ok` tells whether only
   /// the radius condition is violated.
   std::vector<size_t> ChooseSplitAttributes(
@@ -206,8 +315,8 @@ class QuadTreeBuilder {
     // scale so wide-scaled attributes (flux in the thousands) do not starve
     // narrow ones (redshift near zero) of splits; for radius violations the
     // raw radius is the binding quantity.
-    std::vector<std::pair<double, size_t>> scored(part_cols_.size());
-    for (size_t k = 0; k < part_cols_.size(); ++k) {
+    std::vector<std::pair<double, size_t>> scored(columns_.size());
+    for (size_t k = 0; k < columns_.size(); ++k) {
       const double radius = attr_radius[k];
       double score = size_ok ? radius
                              : (attr_scale_[k] > 0 ? radius / attr_scale_[k]
@@ -233,32 +342,33 @@ class QuadTreeBuilder {
         if (radius > options_.radius_limit) ++want;
       }
     }
-    want = std::clamp<size_t>(want, 1, std::min<size_t>(4, part_cols_.size()));
+    want = std::clamp<size_t>(
+        want, 1, std::min<size_t>(kMaxSplitAttributes, columns_.size()));
     std::vector<size_t> out;
     for (size_t k = 0; k < want; ++k) out.push_back(scored[k].second);
     return out;
   }
 
-  void Finalize(std::vector<RowId> rows, double radius, Partitioning* out) {
-    uint32_t g = static_cast<uint32_t>(out->groups.size());
-    for (RowId r : rows) out->gid[r] = g;
-    out->groups.push_back(std::move(rows));
-    out->radius.push_back(radius);
+  void Finalize(std::vector<RowId> rows, double radius) {
+    groups_->push_back(std::move(rows));
+    radius_->push_back(radius);
   }
 
-  const ColumnSource& table_;
+  const std::vector<DenseColumn>& columns_;
   const PartitionOptions& options_;
-  std::vector<size_t> part_cols_;
   std::vector<double> attr_scale_;
+  std::vector<std::vector<RowId>>* groups_ = nullptr;
+  std::vector<double>* radius_ = nullptr;
 };
 
-/// Build the representative relation: centroid over every numeric column of
-/// each group (strings become NULL) plus a trailing gid column. The
-/// (group, column) means are independent, so they fill a per-group value
-/// grid in parallel; rows are appended serially in group order.
-Result<Table> BuildRepresentatives(const ColumnSource& table,
-                                   const Partitioning& partitioning,
-                                   int threads = 1) {
+// --- Representative relation ----------------------------------------------
+
+/// The representative relation from per-column group means (`means[c][g]`,
+/// empty for string columns): numeric columns hold the group centroid,
+/// string columns are NULL, and a trailing gid column numbers the rows.
+Table AssembleRepresentatives(const ColumnSource& table,
+                              const std::vector<std::vector<double>>& means,
+                              size_t num_groups) {
   std::vector<ColumnDef> defs = table.schema().columns();
   // The trailing group-id column is conventionally "gid"; when the source
   // already has one (e.g. a representative relation being partitioned in
@@ -270,35 +380,102 @@ Result<Table> BuildRepresentatives(const ColumnSource& table,
   }
   defs.push_back({gid_name, DataType::kInt64});
   Table reps{Schema(std::move(defs))};
-  const size_t num_groups = partitioning.groups.size();
   reps.Reserve(num_groups);
-  std::vector<std::vector<Value>> grid(num_groups);
+  std::vector<Value> row(table.num_columns() + 1);
   for (size_t g = 0; g < num_groups; ++g) {
-    grid[g].resize(table.num_columns() + 1);
-    grid[g][table.num_columns()] = Value(static_cast<int64_t>(g));
-  }
-  // Column-major over the grid: every group's mean for one column before
-  // the next column. Each (group, column) cell is the same ColumnMean call
-  // in either loop order, but an out-of-core source decodes one column's
-  // blocks per pass — a working set an LRU block cache actually holds —
-  // whereas group-major re-decodes nearly the whole table per group (the
-  // groups' row lists are value-clustered, so each one touches most
-  // blocks of every column).
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    if (table.schema().column(c).type == DataType::kString) {
-      for (size_t g = 0; g < num_groups; ++g) grid[g][c] = Value::Null();
-      continue;
+    // Averaging ignores NULLs? For simplicity, NULLs read as 0 here; the
+    // benchmark workloads pre-filter NULL rows per the paper's setup.
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      row[c] = means[c].empty() ? Value::Null() : Value(means[c][g]);
     }
-    ParallelIndexFor(num_groups, threads, [&](size_t g) {
-      // Averaging ignores NULLs? For simplicity, NULLs read as 0 here; the
-      // benchmark workloads pre-filter NULL rows per the paper's setup.
-      grid[g][c] = Value(ColumnMean(table, partitioning.groups[g], c));
-    });
-  }
-  for (size_t g = 0; g < num_groups; ++g) {
-    reps.AppendRowUnchecked(grid[g]);
+    row[table.num_columns()] = Value(static_cast<int64_t>(g));
+    reps.AppendRowUnchecked(row);
   }
   return reps;
+}
+
+bool IsNumeric(const ColumnSource& table, size_t col) {
+  return table.schema().column(col).type != DataType::kString;
+}
+
+/// Representatives of arbitrary row lists: one chunked gather per (group,
+/// column), in parallel across groups. Column-major, so an out-of-core
+/// source keeps one column's blocks in its cache at a time.
+Table GatherRepresentatives(const ColumnSource& table,
+                            const Partitioning& partitioning, int threads) {
+  const size_t num_groups = partitioning.groups.size();
+  std::vector<std::vector<double>> means(table.num_columns());
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    if (!IsNumeric(table, c)) continue;
+    means[c].resize(num_groups);
+    ParallelIndexFor(num_groups, threads, [&](size_t g) {
+      means[c][g] = relation::GatherMean(table, c, partitioning.groups[g]);
+    });
+  }
+  return AssembleRepresentatives(table, means, num_groups);
+}
+
+/// Representatives of a partitioning that covers every row and lists each
+/// group's rows in ascending order (every PartitionTable artifact: the
+/// quad-tree starts from 0..n-1 and every split keeps the rows' order).
+/// The numeric columns are read once, front to back, a block-sized window
+/// at a time, and every row adds its values into its group's sums: a
+/// group's sums then accumulate in its list order, so the means equal the
+/// gathered ones bit for bit. Adding a row's columns side by side keeps
+/// many independent add chains in flight. `dense[k]` already holds column
+/// `dense_cols[k]`; workers take disjoint slices of the columns.
+Table ScanRepresentatives(const ColumnSource& table,
+                          const Partitioning& partitioning,
+                          const std::vector<size_t>& dense_cols,
+                          const std::vector<DenseColumn>& dense,
+                          int threads) {
+  const size_t n = table.num_rows();
+  const size_t num_groups = partitioning.groups.size();
+  std::vector<size_t> numeric;
+  std::vector<const double*> whole;  // in-place arrays; null = read windows
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    if (!IsNumeric(table, c)) continue;
+    auto have = std::find(dense_cols.begin(), dense_cols.end(), c);
+    numeric.push_back(c);
+    whole.push_back(have != dense_cols.end()
+                        ? dense[have - dense_cols.begin()].values
+                        : table.ContiguousDoubles(c));
+  }
+  std::vector<std::vector<double>> means(table.num_columns());
+  const size_t slices =
+      std::min<size_t>(std::max(threads, 1), numeric.size());
+  ParallelIndexFor(slices, threads, [&](size_t slice) {
+    const size_t first = numeric.size() * slice / slices;
+    const size_t width = numeric.size() * (slice + 1) / slices - first;
+    std::vector<double> sums(num_groups * width, 0.0);  // [group][column]
+    std::vector<std::vector<double>> windows(width);
+    std::vector<const double*> window(width);
+    for (size_t start = 0; start < n; start += kMorselRows) {
+      const size_t len = std::min(kMorselRows, n - start);
+      for (size_t j = 0; j < width; ++j) {
+        if (whole[first + j] != nullptr) {
+          window[j] = whole[first + j] + start;
+          continue;
+        }
+        windows[j].resize(kMorselRows);
+        ReadRange(table, numeric[first + j], start, len, windows[j].data());
+        window[j] = windows[j].data();
+      }
+      for (size_t i = 0; i < len; ++i) {
+        double* sum = sums.data() + partitioning.gid[start + i] * width;
+        for (size_t j = 0; j < width; ++j) sum[j] += window[j][i];
+      }
+    }
+    for (size_t j = 0; j < width; ++j) {
+      std::vector<double>& mean = means[numeric[first + j]];
+      mean.resize(num_groups);
+      for (size_t g = 0; g < num_groups; ++g) {
+        mean[g] = sums[g * width + j] /
+                  static_cast<double>(partitioning.groups[g].size());
+      }
+    }
+  });
+  return AssembleRepresentatives(table, means, num_groups);
 }
 
 std::vector<size_t> ResolveNumericColumns(const ColumnSource& table,
@@ -322,6 +499,22 @@ std::vector<size_t> ResolveNumericColumns(const ColumnSource& table,
   return cols;
 }
 
+/// The partitioning columns of `options`, after checking the options.
+Result<std::vector<size_t>> ResolveOptions(const ColumnSource& table,
+                                           const PartitionOptions& options) {
+  if (options.size_threshold == 0) {
+    return Status::InvalidArgument("size_threshold must be positive");
+  }
+  if (options.attributes.empty()) {
+    return Status::InvalidArgument("no partitioning attributes given");
+  }
+  Status status;
+  std::vector<size_t> cols =
+      ResolveNumericColumns(table, options.attributes, &status);
+  PAQL_RETURN_IF_ERROR(status);
+  return cols;
+}
+
 }  // namespace
 
 size_t Partitioning::max_group_size() const {
@@ -332,30 +525,59 @@ size_t Partitioning::max_group_size() const {
 
 Result<Partitioning> PartitionTable(const ColumnSource& table,
                                     const PartitionOptions& options) {
-  if (options.size_threshold == 0) {
-    return Status::InvalidArgument("size_threshold must be positive");
-  }
-  if (options.attributes.empty()) {
-    return Status::InvalidArgument("no partitioning attributes given");
-  }
-  Status status;
-  std::vector<size_t> cols = ResolveNumericColumns(table, options.attributes,
-                                                   &status);
-  PAQL_RETURN_IF_ERROR(status);
+  Stopwatch watch;
+  const int64_t decoded_before = table.BlocksDecoded();
+  PAQL_ASSIGN_OR_RETURN(std::vector<size_t> cols,
+                        ResolveOptions(table, options));
+  std::vector<DenseColumn> columns(cols.size());
+  ParallelIndexFor(cols.size(), options.threads, [&](size_t k) {
+    columns[k] = ReadColumn(table, cols[k]);
+  });
 
   Partitioning out;
   out.attributes = options.attributes;
   out.size_threshold = options.size_threshold;
   out.radius_limit = options.radius_limit;
-  out.gid.assign(table.num_rows(), 0);
-
   std::vector<RowId> all(table.num_rows());
-  for (RowId r = 0; r < table.num_rows(); ++r) all[r] = r;
-  QuadTreeBuilder builder(table, options, cols);
-  PAQL_RETURN_IF_ERROR(builder.Build(std::move(all), &out));
-  PAQL_ASSIGN_OR_RETURN(out.representatives,
-                        BuildRepresentatives(table, out, options.threads));
+  std::iota(all.begin(), all.end(), RowId{0});
+  QuadTreeBuilder(columns, table.num_rows(), options)
+      .Build(std::move(all), &out.groups, &out.radius);
+  out.gid.assign(table.num_rows(), 0);
+  for (size_t g = 0; g < out.groups.size(); ++g) {
+    for (RowId r : out.groups[g]) out.gid[r] = static_cast<uint32_t>(g);
+  }
+  out.representatives =
+      ScanRepresentatives(table, out, cols, columns, options.threads);
+  out.build_seconds = watch.ElapsedSeconds();
+  out.build_block_reads = table.BlocksDecoded() - decoded_before;
   return out;
+}
+
+Result<std::vector<std::vector<RowId>>> QuadTreeGroups(
+    const ColumnSource& table, const std::vector<RowId>& rows,
+    const PartitionOptions& options) {
+  PAQL_ASSIGN_OR_RETURN(std::vector<size_t> cols,
+                        ResolveOptions(table, options));
+  for (RowId r : rows) {
+    if (r >= table.num_rows()) {
+      return Status::InvalidArgument(StrCat("row ", r, " out of range"));
+    }
+  }
+  // The tree runs over positions in `rows`, then maps back to row ids.
+  std::vector<DenseColumn> columns(cols.size());
+  for (size_t k = 0; k < cols.size(); ++k) {
+    columns[k] = GatherColumn(table, cols[k], rows);
+  }
+  std::vector<RowId> positions(rows.size());
+  std::iota(positions.begin(), positions.end(), RowId{0});
+  std::vector<std::vector<RowId>> groups;
+  std::vector<double> radius;
+  QuadTreeBuilder(columns, rows.size(), options)
+      .Build(std::move(positions), &groups, &radius);
+  for (auto& group : groups) {
+    for (RowId& r : group) r = rows[r];
+  }
+  return groups;
 }
 
 Result<Partitioning> MakePartitioningFromGroups(
@@ -390,8 +612,7 @@ Result<Partitioning> MakePartitioningFromGroups(
   // Per-group radii, one group per worker (each group's float accumulation
   // stays serial, so the artifact is identical for any worker count).
   ParallelIndexFor(out.groups.size(), threads, [&](size_t g) {
-    std::vector<double> centroid =
-        GroupCentroid(table, out.groups[g], cols, 1);
+    std::vector<double> centroid = GroupCentroid(table, out.groups[g], cols);
     out.radius[g] = GroupRadius(table, out.groups[g], cols, centroid);
   });
   for (RowId r = 0; r < table.num_rows(); ++r) {
@@ -400,8 +621,7 @@ Result<Partitioning> MakePartitioningFromGroups(
           StrCat("live row ", r, " not covered by any group"));
     }
   }
-  PAQL_ASSIGN_OR_RETURN(out.representatives,
-                        BuildRepresentatives(table, out, threads));
+  out.representatives = GatherRepresentatives(table, out, threads);
   return out;
 }
 
@@ -444,11 +664,10 @@ Result<Partitioning> ShrinkToSubset(const ColumnSource& table,
   // One group per worker, serial float work within each (see
   // MakePartitioningFromGroups).
   ParallelIndexFor(out.groups.size(), threads, [&](size_t g) {
-    std::vector<double> centroid = GroupCentroid(sub, out.groups[g], cols, 1);
+    std::vector<double> centroid = GroupCentroid(sub, out.groups[g], cols);
     out.radius[g] = GroupRadius(sub, out.groups[g], cols, centroid);
   });
-  PAQL_ASSIGN_OR_RETURN(out.representatives,
-                        BuildRepresentatives(sub, out, threads));
+  out.representatives = GatherRepresentatives(sub, out, threads);
   return out;
 }
 

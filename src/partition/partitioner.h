@@ -13,6 +13,26 @@
 //    most experiments;
 //  * deriving partitionings for smaller dataset fractions by dropping rows
 //    while keeping group boundaries (this preserves the size condition).
+//
+// How PartitionTable reads the source: each column once, front to back.
+//  * The k partitioning attributes are read into dense arrays before the
+//    tree is built; every level's centroid sums, radius folds and quadrant
+//    masks then index those arrays. An in-memory DOUBLE column is used in
+//    place (ColumnSource::ContiguousDoubles); any other column costs
+//    8 bytes per row, so the extra memory is about k x 8 B x rows for an
+//    out-of-core or versioned source.
+//  * The representatives take one more contiguous pass over each other
+//    numeric column (the partitioning columns reuse their arrays), adding
+//    every row into its group's sum as the scan passes it. That equals
+//    the per-group gather only because each group lists its rows in
+//    ascending order, which holds for every group the quad-tree makes: it
+//    starts from rows 0..n-1 and each split keeps the rows' order.
+//    MakePartitioningFromGroups takes groups in any order (incremental
+//    maintenance appends rows out of order), so it gathers per group.
+// Sums stay scalar in row-list order, and the radii and attribute ranges
+// are maxima and minima that no visiting order changes, so the artifact
+// is bit-identical to one gathered group by group, on an in-memory,
+// out-of-core or versioned source alike.
 #ifndef PAQL_PARTITION_PARTITIONER_H_
 #define PAQL_PARTITION_PARTITIONER_H_
 
@@ -41,13 +61,13 @@ struct PartitionOptions {
   /// Safety valve against pathological recursion.
   int max_depth = 64;
 
-  /// Workers for the offline statistics (per-attribute centroids and
-  /// radii, per-group representative rows, full-column min/max scans),
-  /// drawn from the shared pool. <= 1 = serial. Parallelism is across
-  /// independent statistics and across morsels of exactly-associative
-  /// (min/max) folds only — order-sensitive float sums stay inside one
-  /// worker — so the partitioning is bit-for-bit identical for any
-  /// worker count.
+  /// Workers for the offline statistics, drawn from the shared pool;
+  /// <= 1 = serial. PartitionTable reads the partitioning columns, folds
+  /// each level's per-attribute centroids and radii, and scans the
+  /// representative columns in parallel across attributes;
+  /// MakePartitioningFromGroups works in parallel across groups. Each
+  /// order-sensitive float sum stays inside one worker, so the
+  /// partitioning is bit-for-bit identical for any worker count.
   int threads = 1;
 };
 
@@ -77,6 +97,12 @@ struct Partitioning {
   /// trailing INT64 `gid` column. Row g is the representative of group g.
   relation::Table representatives;
 
+  /// What PartitionTable spent on this artifact: wall time, and blocks the
+  /// source decoded from storage meanwhile (0 for in-memory sources; see
+  /// ColumnSource::BlocksDecoded). Zero for artifacts made any other way.
+  double build_seconds = 0;
+  int64_t build_block_reads = 0;
+
   size_t num_groups() const { return groups.size(); }
 
   /// Largest group size (must be <= size_threshold).
@@ -86,6 +112,15 @@ struct Partitioning {
 /// Partition `table` per `options`.
 Result<Partitioning> PartitionTable(const relation::ColumnSource& table,
                                     const PartitionOptions& options);
+
+/// The quad-tree groups of a row subset of `table`, given in any order:
+/// exactly the groups PartitionTable would make of a table holding just
+/// those rows in that order, as lists of `table` row ids (each in the
+/// subset's relative order). Builds no representatives; incremental
+/// maintenance (dynamic_update.h) splits an overgrown group with it.
+Result<std::vector<std::vector<relation::RowId>>> QuadTreeGroups(
+    const relation::ColumnSource& table,
+    const std::vector<relation::RowId>& rows, const PartitionOptions& options);
 
 /// Assemble a Partitioning artifact from an explicit group assignment:
 /// computes gids, centroids, radii, and the representative relation. Groups

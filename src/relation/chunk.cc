@@ -81,33 +81,6 @@ double GatherMaxAbsDeviation(const ColumnSource& source, size_t col,
   return radius;
 }
 
-std::pair<double, double> ColumnMinMax(const ColumnSource& source, size_t col,
-                                       int threads) {
-  const double inf = std::numeric_limits<double>::infinity();
-  const size_t n = source.num_rows();
-  const size_t morsels = (n + kMorselRows - 1) / kMorselRows;
-  std::vector<double> lo_partial(morsels, inf), hi_partial(morsels, -inf);
-  ForEachMorsel(n, threads, [&](size_t begin, size_t end) {
-    NumericBatch batch;
-    double lo = inf, hi = -inf;
-    for (size_t start = begin; start < end; start += kChunkSize) {
-      RowSpan span;
-      span.start = static_cast<RowId>(start);
-      span.len = static_cast<uint32_t>(std::min(kChunkSize, end - start));
-      source.LoadChunkRaw(col, span, &batch);
-      simd::FoldMinMax(batch.values.data(), span.len, &lo, &hi);
-    }
-    lo_partial[begin / kMorselRows] = lo;
-    hi_partial[begin / kMorselRows] = hi;
-  });
-  double lo = inf, hi = -inf;
-  for (size_t m = 0; m < morsels; ++m) {
-    lo = std::min(lo, lo_partial[m]);
-    hi = std::max(hi, hi_partial[m]);
-  }
-  return {lo, hi};
-}
-
 double ColumnMinAbs(const ColumnSource& source, size_t col, int threads) {
   const double inf = std::numeric_limits<double>::infinity();
   const size_t n = source.num_rows();

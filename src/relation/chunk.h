@@ -60,10 +60,6 @@ double GatherMaxAbsDeviation(const ColumnSource& source, size_t col,
                              const std::vector<RowId>& rows, double center,
                              int threads = 1);
 
-/// (min, max) of the whole column; (+inf, -inf) on an empty table.
-std::pair<double, double> ColumnMinMax(const ColumnSource& source, size_t col,
-                                       int threads = 1);
-
 /// min |value| over the whole column; +inf on an empty table.
 double ColumnMinAbs(const ColumnSource& source, size_t col, int threads = 1);
 

@@ -77,6 +77,15 @@ class ColumnSource {
   virtual void LoadChunkRaw(size_t col, const RowSpan& span,
                             NumericBatch* out) const = 0;
 
+  /// The raw values of a whole column as one array of num_rows() doubles
+  /// when the source already stores it that way (an in-memory Table's
+  /// DOUBLE column), else nullptr. Full-column readers use the array in
+  /// place instead of copying it out chunk by chunk.
+  virtual const double* ContiguousDoubles(size_t col) const {
+    (void)col;
+    return nullptr;
+  }
+
   // --- Zone maps (optional; sources without them never prune) ---
 
   /// Min/max over the non-NULL values of one block of kMorselRows rows
@@ -125,6 +134,11 @@ class ColumnSource {
   /// with the recorded structured Status instead of trusting the result.
   /// Plain in-memory sources always return OK.
   virtual Status ConsumeError() const { return Status::OK(); }
+
+  /// Blocks decoded from storage so far (block-cache misses that loaded
+  /// a block); 0 for in-memory sources. Callers diff two readings to
+  /// count the decodes an operation caused.
+  virtual int64_t BlocksDecoded() const { return 0; }
 
   /// Rows with non-NULL values in all the given columns.
   virtual std::vector<RowId> NonNullRows(const std::vector<size_t>& cols) const;

@@ -89,6 +89,7 @@ BlockCache::Handle DiskTable::Block(size_t col, size_t block) const {
       if (first_error_.ok()) first_error_ = decoded.status();
       return nullptr;
     }
+    blocks_decoded_.fetch_add(1, std::memory_order_relaxed);
     return std::make_shared<const DecodedBlock>(std::move(*decoded));
   });
   if (h == nullptr) return PoisonBlock(col, block);

@@ -87,6 +87,7 @@ class DiskTable final : public ColumnSource {
   /// First storage error since the last call (and clears it). See
   /// ColumnSource::ConsumeError for the contract.
   Status ConsumeError() const override;
+  int64_t BlocksDecoded() const override { return blocks_decoded_.load(); }
 
   // --- Out-of-core specifics ---
   const BlockStoreReader& reader() const { return *reader_; }
@@ -130,6 +131,7 @@ class DiskTable final : public ColumnSource {
   mutable std::unordered_map<uint64_t, Status> quarantine_;  // col<<32|block
   mutable std::atomic<int64_t> io_retries_{0};
   mutable std::atomic<int64_t> quarantined_{0};
+  mutable std::atomic<int64_t> blocks_decoded_{0};
 };
 
 }  // namespace paql::relation

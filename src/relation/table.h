@@ -75,6 +75,11 @@ class Table final : public ColumnSource {
                  NumericBatch* out) const override;
   void LoadChunkRaw(size_t col, const RowSpan& span,
                     NumericBatch* out) const override;
+  const double* ContiguousDoubles(size_t col) const override {
+    return columns_[col].type == DataType::kDouble
+               ? columns_[col].doubles.data()
+               : nullptr;
+  }
 
   /// Overwrite one element (used by the partitioner to assign group ids).
   void SetValue(RowId row, size_t col, const Value& value);

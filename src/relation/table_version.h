@@ -116,6 +116,7 @@ class TableVersion final : public ColumnSource {
   /// in-memory Table and cannot fail); forward the channel so a versioned
   /// DiskTable still surfaces corruption to query execution.
   Status ConsumeError() const override { return base_->ConsumeError(); }
+  int64_t BlocksDecoded() const override { return base_->BlocksDecoded(); }
 
   // --- Version chain facts ---
 

@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <regex>
 
 #include "common/str_util.h"
 #include "core/package.h"
 #include "paql/parser.h"
+#include "relation/block_store.h"
 
 namespace paql {
 namespace {
@@ -282,6 +286,43 @@ TEST(EngineTest, ExplainReportsPlanWithoutSolving) {
   ASSERT_TRUE(big_report.ok()) << big_report.status();
   EXPECT_NE(big_report->find("strategy: SKETCHREFINE"), std::string::npos)
       << *big_report;
+}
+
+// A partitioning built for the statement reports what the build cost next
+// to "built": its wall time and the blocks it decoded. Over a block store,
+// each of the two numeric columns (one block each) is decoded once. A
+// partitioning served from the registry says "cached" instead.
+TEST(EngineTest, ExplainReportsPartitionBuildCost) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "paql_engine_recipes.pqb")
+          .string();
+  ASSERT_TRUE(relation::WriteBlockStore(MakeRecipes(290), path).ok());
+  EngineOptions options;
+  options.planner.direct_row_threshold = 100;
+  auto session = Engine::OpenDisk(path, options);
+  ASSERT_TRUE(session.ok()) << session.status();
+  auto report = session->Explain(kExample1);
+  ASSERT_TRUE(report.ok()) << report.status();
+  std::smatch built;
+  ASSERT_TRUE(std::regex_search(
+      *report, built,
+      std::regex(R"(\(built in ([0-9.e+-]+) ms, ([0-9]+) block reads\))")))
+      << *report;
+  EXPECT_GT(std::stod(built[1]), 0.0);
+  EXPECT_EQ(built[2], "2") << *report;
+  auto again = session->Explain(kExample1);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_NE(again->find("(cached)"), std::string::npos) << *again;
+  std::remove(path.c_str());
+
+  // An in-memory table decodes nothing.
+  auto in_memory = Engine::Open(MakeRecipes(290), "Recipes", options);
+  ASSERT_TRUE(in_memory.ok());
+  auto executed = in_memory->Execute(kExample1);
+  ASSERT_TRUE(executed.ok()) << executed.status();
+  EXPECT_NE(executed->plan.Explain().find(" ms, 0 block reads)"),
+            std::string::npos)
+      << executed->plan.Explain();
 }
 
 TEST(EngineTest, DumpLpWritesAModel) {

@@ -428,5 +428,86 @@ TEST(PartitionViewsTest, SmallCacheBuildDoesNotThrash) {
   ExpectIdenticalPartitionings(*in_memory, *built);
 }
 
+
+/// FNV-1a over everything the artifact holds: the gid map, every group's
+/// row list, the radius bits and every representative cell.
+uint64_t ArtifactHash(const Partitioning& p) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (word >> (8 * b)) & 0xFF;
+      h *= 1099511628211ull;
+    }
+  };
+  for (uint32_t g : p.gid) mix(g);
+  for (const auto& group : p.groups) {
+    mix(group.size());
+    for (RowId r : group) mix(r);
+  }
+  for (double r : p.radius) mix(Bits(r));
+  const Table& reps = p.representatives;
+  for (RowId g = 0; g < reps.num_rows(); ++g) {
+    for (size_t c = 0; c < reps.num_columns(); ++c) {
+      if (reps.IsNull(g, c)) {
+        mix(0x4E554C4Cull);  // "NULL"
+      } else if (reps.schema().column(c).type == DataType::kDouble) {
+        mix(Bits(reps.GetDouble(g, c)));
+      } else {
+        mix(static_cast<uint64_t>(reps.GetInt64(g, c)));
+      }
+    }
+  }
+  return h;
+}
+
+// The build reads each column of the source once, in contiguous chunks:
+// the partitioning attributes into dense arrays that every level of the
+// quad-tree reuses, the other columns in one pass for the representatives.
+// So a versioned store behind a cache a third the size of its decoded
+// columns decodes each block about once, whether the tree splits on two
+// attributes or on all fourteen. The golden hashes pin the artifact bit
+// for bit to the one the per-group gathering build produced.
+TEST(PartitionViewsTest, BuildDecodesEachBlockAboutOnce) {
+  constexpr size_t kRows = 100000;
+  constexpr size_t kCacheBytes = 4u << 20;
+  GalaxyStore store(kRows, "paql_partition_once.pqb");
+  PartitionOptions two;
+  two.attributes = {"objid", "petroFlux_r"};
+  two.size_threshold = kRows / 10;
+  const struct {
+    PartitionOptions options;
+    uint64_t golden;
+  } cases[] = {{two, 0x78b571399cd41d51ull},
+                 {AllGalaxyColumns(kRows), 0x7c60e390f3c5b102ull}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.options.attributes.size());
+    std::shared_ptr<relation::DiskTable> base = store.Open(kCacheBytes);
+    ASSERT_NE(base, nullptr);
+    auto wrapped = relation::TableVersion::Wrap(base);
+    ASSERT_TRUE(wrapped.ok()) << wrapped.status();
+    relation::TableDelta delta;
+    for (RowId r = 3; r < kRows; r += 37) delta.deletes.push_back(r);
+    for (RowId r = 0; r < 500; ++r) {
+      std::vector<Value> row(store.table().num_columns());
+      for (size_t col = 0; col < row.size(); ++col) {
+        row[col] = store.table().GetValue(r * 7, col);
+      }
+      delta.inserts.push_back(std::move(row));
+    }
+    auto versioned = (*wrapped)->Apply(delta);
+    ASSERT_TRUE(versioned.ok()) << versioned.status();
+    auto built = PartitionTable(**versioned, c.options);
+    ASSERT_TRUE(built.ok()) << built.status();
+    EXPECT_TRUE(base->ConsumeError().ok());
+    // Every Galaxy column is numeric, so the build touches every block.
+    const int64_t distinct =
+        static_cast<int64_t>(base->num_blocks() * base->num_columns());
+    const int64_t slack = static_cast<int64_t>(base->num_columns());
+    EXPECT_LE(base->cache()->stats().misses, distinct + slack);
+    EXPECT_EQ(ArtifactHash(*built), c.golden)
+        << std::hex << "0x" << ArtifactHash(*built);
+  }
+}
+
 }  // namespace
 }  // namespace paql::partition

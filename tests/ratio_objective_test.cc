@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "common/rng.h"
+#include "common/stopwatch.h"
 #include "common/str_util.h"
 #include "core/package.h"
 #include "paql/parser.h"
@@ -238,6 +239,46 @@ TEST(RatioObjectiveTest, FilteredAvgIgnoresNonMatchingTuples) {
     }
   }
   EXPECT_NEAR(r->objective, min_a, 1e-9);
+}
+
+TEST(RatioObjectiveTest, TimeLimitBoundsAllIterations) {
+  // 400 items under a knapsack row: three Dinkelbach iterations, the first
+  // two each well under a third of the run.
+  Table t{Schema({{"w", DataType::kDouble}, {"gain", DataType::kDouble}})};
+  Rng rng(11);
+  for (int i = 0; i < 400; ++i) {
+    const double w = std::floor(rng.Uniform(1, 100));
+    const double gain =
+        std::floor(w * rng.Uniform(0.5, 1.5) + rng.Uniform(0, 20));
+    ASSERT_TRUE(t.AppendRow({Value(w), Value(gain)}).ok());
+  }
+  auto q = ParsePackageQuery(
+      "SELECT PACKAGE(R) AS P FROM R REPEAT 0 SUCH THAT "
+      "COUNT(P.*) BETWEEN 30 AND 60 AND SUM(P.w) <= 1500 "
+      "MAXIMIZE AVG(P.gain)");
+  ASSERT_TRUE(q.ok()) << q.status();
+  engine::ExecContext options;
+  options.threads = 1;
+  Stopwatch unlimited_watch;
+  auto full = RatioObjectiveEvaluator(t, options).Evaluate(*q);
+  const double unlimited_s = unlimited_watch.ElapsedSeconds();
+  ASSERT_TRUE(full.ok()) << full.status();
+  ASSERT_GE(full->stats.ilp_solves, 3);
+
+  // A limit applied to each solve separately lets the first two
+  // iterations finish and then gives the last one a whole limit more, so
+  // the query runs about 1.6 limits long. The limit covers all
+  // iterations: the run must stop soon after one limit (or finish, if
+  // this run is faster).
+  options.limits.time_limit_s = unlimited_s / 3;
+  Stopwatch limited_watch;
+  auto limited = RatioObjectiveEvaluator(t, options).Evaluate(*q);
+  const double limited_s = limited_watch.ElapsedSeconds();
+  if (!limited.ok()) {
+    EXPECT_TRUE(limited.status().IsResourceExhausted()) << limited.status();
+  }
+  EXPECT_LE(limited_s, 1.25 * options.limits.time_limit_s)
+      << "unlimited run " << unlimited_s << " s";
 }
 
 class RatioSeedTest : public ::testing::TestWithParam<unsigned> {};

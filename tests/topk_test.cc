@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "common/rng.h"
+#include "common/stopwatch.h"
 #include "core/direct.h"
 #include "paql/parser.h"
 
@@ -189,6 +191,45 @@ TEST_P(TopKPropertyTest, SoundAndOrdered) {
     prev = r.objective;
     EXPECT_TRUE(seen.insert(SupportOf(r.package)).second);
   }
+}
+
+TEST(TopKTest, TimeLimitBoundsTheWholeEnumeration) {
+  // Twenty rounds over 300 items under a knapsack row: each round's solve
+  // is a small share of the run.
+  Table t{Schema({{"w", DataType::kDouble}, {"gain", DataType::kDouble}})};
+  Rng rng(11);
+  for (int i = 0; i < 300; ++i) {
+    const double w = std::floor(rng.Uniform(1, 100));
+    const double gain =
+        std::floor(w * rng.Uniform(0.5, 1.5) + rng.Uniform(0, 20));
+    ASSERT_TRUE(t.AppendRow({Value(w), Value(gain)}).ok());
+  }
+  auto cq = Compile(t,
+                    "SELECT PACKAGE(R) AS P FROM R REPEAT 0 "
+                    "SUCH THAT COUNT(P.*) = 25 AND SUM(P.w) <= 150 "
+                    "MAXIMIZE SUM(P.gain)");
+  TopKOptions opts;
+  opts.k = 20;
+  opts.threads = 1;
+  Stopwatch unlimited_watch;
+  auto full = EnumerateTopPackages(t, cq, opts);
+  const double unlimited_s = unlimited_watch.ElapsedSeconds();
+  ASSERT_TRUE(full.ok()) << full.status();
+  ASSERT_EQ(full->size(), 20u);
+
+  // A quarter of the run is longer than any one round, so a limit applied
+  // to each solve separately would let the enumeration run about four
+  // limits long. The limit covers all rounds: it must stop soon after one
+  // limit (or finish, if this run is faster).
+  opts.limits.time_limit_s = unlimited_s / 4;
+  Stopwatch limited_watch;
+  auto limited = EnumerateTopPackages(t, cq, opts);
+  const double limited_s = limited_watch.ElapsedSeconds();
+  if (!limited.ok()) {
+    EXPECT_TRUE(limited.status().IsResourceExhausted()) << limited.status();
+  }
+  EXPECT_LE(limited_s, 2 * opts.limits.time_limit_s)
+      << "unlimited run " << unlimited_s << " s";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TopKPropertyTest,
