@@ -14,8 +14,9 @@
 //     the raw column bytes, checked bit-identical against the in-memory
 //     Table path (packages and objectives compared exactly),
 //   * the offline partitioning built over the DiskTable: its time, and
-//     the blocks it decoded next to the distinct blocks of the numeric
-//     columns it reads (each should be decoded at most once).
+//     the blocks it decoded next to the distinct blocks of its
+//     partitioning attributes, the only columns it reads (each should be
+//     decoded at most once).
 //
 // Dataset: MakeGalaxyTable quantized to 4 decimal digits. The synthetic
 // generator emits full-entropy mantissas, which no lossless encoder can
@@ -120,7 +121,7 @@ struct QuerySection {
   int64_t direct_blocks_pruned = 0;
   double partition_disk_seconds = 0;
   int64_t partition_block_decodes = 0;   // blocks the build decoded
-  int64_t partition_distinct_blocks = 0; // blocks of its numeric columns
+  int64_t partition_distinct_blocks = 0; // blocks of its attributes
   double sketchrefine_mem_seconds = 0;
   double sketchrefine_disk_seconds = 0;
   int64_t sketchrefine_blocks_pruned = 0;
@@ -357,18 +358,13 @@ void Run(const BenchConfig& config) {
     auto partitioning = partition::PartitionTable(disk, popts);
     PAQL_CHECK_MSG(partitioning.ok(), partitioning.status());
     queries.partition_disk_seconds = part_watch.ElapsedSeconds();
-    // The build reads each numeric column once, so it decodes each of
-    // their blocks at most once (fewer when the scans above left some
-    // cached); the regression guard holds it to that.
+    // The build reads only its partitioning attributes, each once, so it
+    // decodes each of their blocks at most once (fewer when the scans
+    // above left some cached) and no block of another column; the
+    // regression guard holds it to that.
     queries.partition_block_decodes = disk.BlocksDecoded() - decodes_before;
-    size_t numeric_columns = 0;
-    for (size_t c = 0; c < disk.num_columns(); ++c) {
-      if (disk.schema().column(c).type != relation::DataType::kString) {
-        ++numeric_columns;
-      }
-    }
     queries.partition_distinct_blocks =
-        static_cast<int64_t>(numeric_columns * disk.num_blocks());
+        static_cast<int64_t>(popts.attributes.size() * disk.num_blocks());
 
     auto cq = MustCompile(
         StrCat("SELECT PACKAGE(G) AS P FROM Galaxy G REPEAT 0",

@@ -409,6 +409,13 @@ int RunStatement(Session& session, const ShellOptions& options,
   std::cout << "-- root cuts: " << result->stats.cuts_added << " added in "
             << result->stats.cut_rounds << " rounds, "
             << result->stats.cut_seconds * 1e3 << " ms\n";
+  if (result->plan.representatives.has_value()) {
+    const auto& reps = *result->plan.representatives;
+    std::cout << "-- representatives: " << reps.filled << " of "
+              << reps.columns << " columns, " << reps.filled_on_demand
+              << " filled on demand (" << reps.fill_block_reads
+              << " block reads)\n";
+  }
   if (result->stats.blocks_scanned > 0 || result->stats.blocks_pruned > 0) {
     std::cout << "-- storage: " << result->stats.blocks_scanned
               << " blocks scanned, " << result->stats.blocks_pruned

@@ -65,7 +65,9 @@ Two families of checks, both bounded by MAX_REGRESS (default 0.25):
     zone maps pruning blocks, on-disk <= 50% of raw) are enforced on the
     CURRENT run unconditionally — they hold at any scale. So is the
     partition build's read count: it may decode at most 1.1x the distinct
-    blocks of the columns it reads (each column is read once). The guard
+    blocks of its partitioning attributes (each is read once, and no other
+    column is read; the representatives of the others fill on demand). The
+    guard
     compares counts, not times, so it holds on any machine. The
     scale-dependent numbers (compression ratio, cache hit rate, pruned
     block counts) are compared only when both runs used the same row
@@ -346,7 +348,7 @@ def main() -> int:
                 failures.append(
                     f"scan: partition build decoded {decodes} blocks, more "
                     f"than 1.1 x its {distinct} distinct blocks (a column "
-                    f"is being re-read)")
+                    f"is being re-read, or one that is not an attribute)")
             else:
                 print(f"ok scan partition reads: {decodes} block decodes for "
                       f"{distinct} distinct blocks")

@@ -86,6 +86,11 @@ struct EvalStats {
   /// Refine subproblems whose cached model was re-targeted in place
   /// (CompiledQuery::UpdateModelOffsets) instead of rebuilt.
   int64_t warm_model_reuses = 0;
+  /// Representative columns this run filled on demand because the query
+  /// reads them (partition::Partitioning::Representatives), and the
+  /// storage blocks those fills decoded.
+  int64_t representative_columns_filled = 0;
+  int64_t representative_block_reads = 0;
 
   /// Branch-and-bound nodes explored by the concurrent (threads > 1)
   /// search across all ILP solves (zero when every search ran serially).

@@ -140,7 +140,7 @@ RobustSketchRefineEvaluator::IisAttributes(const CompiledQuery& query) const {
                                     : ub * static_cast<double>(candidates));
   }
   CompiledQuery::Segment seg;
-  seg.table = &partitioning_->representatives;
+  seg.table = &QueryRepresentatives(*table_, *partitioning_, query);
   seg.rows = &rep_rows;
   seg.ub_override = &rep_ub;
   PAQL_ASSIGN_OR_RETURN(lp::Model model,
@@ -216,18 +216,17 @@ Result<RemedyReport> RobustSketchRefineEvaluator::TryGroupMerging(
   // worst case, this process reduces the problem to the original problem
   // ... guaranteed to find a solution to any feasible query").
   std::vector<std::vector<RowId>> groups = partitioning_->groups;
-  auto rep_attr = partitioning_->representatives.schema().FindColumn(
-      partitioning_->attributes.front());
+  auto rep_attr =
+      table_->schema().FindColumn(partitioning_->attributes.front());
   PAQL_CHECK(rep_attr.has_value());
+  const Table& reps = partitioning_->Representatives(*table_, {*rep_attr});
   // Order group indices by representative value once; merging preserves
   // neighborhood ordering well enough across rounds.
   std::vector<size_t> order(groups.size());
   for (size_t g = 0; g < groups.size(); ++g) order[g] = g;
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    double va = partitioning_->representatives.GetDouble(
-        static_cast<RowId>(a), *rep_attr);
-    double vb = partitioning_->representatives.GetDouble(
-        static_cast<RowId>(b), *rep_attr);
+    double va = reps.GetDouble(static_cast<RowId>(a), *rep_attr);
+    double vb = reps.GetDouble(static_cast<RowId>(b), *rep_attr);
     if (va != vb) return va < vb;
     return a < b;
   });

@@ -42,7 +42,6 @@ class Driver {
   Driver(const ColumnSource& table, const Partitioning& partitioning,
          const CompiledQuery& query, const SketchRefineOptions& options)
       : table_(table),
-        reps_(partitioning.representatives),
         partitioning_(partitioning),
         query_(query),
         options_(options),
@@ -67,6 +66,10 @@ class Driver {
     for (RowId r : base) {
       group_rows[partitioning_.gid[r]].push_back(r);
     }
+    partition::RepresentativeFill fill;
+    reps_ = &QueryRepresentatives(table_, partitioning_, query_, &fill);
+    stats_.representative_columns_filled = static_cast<int64_t>(fill.columns);
+    stats_.representative_block_reads = fill.block_reads;
     stats_.translate_seconds += translate_watch.ElapsedSeconds();
 
     max_attempts_ = kRefineAttemptsPerGroup *
@@ -191,7 +194,7 @@ class Driver {
     // --- SKETCH over the representatives. ---
     {
       CompiledQuery::Segment seg;
-      seg.table = &reps_;
+      seg.table = reps_;
       seg.rows = &rep_rows_;
       seg.ub_override = &rep_ub;
       PAQL_ASSIGN_OR_RETURN(
@@ -294,7 +297,7 @@ class Driver {
     std::vector<double> acts = query_.LeafActivitiesVectorized(
         table_, orig_rows, orig_mults, options_.EffectiveThreads());
     std::vector<double> rep_acts =
-        query_.LeafActivitiesVectorized(reps_, rep_rows, rep_mults);
+        query_.LeafActivitiesVectorized(*reps_, rep_rows, rep_mults);
     for (size_t i = 0; i < acts.size(); ++i) acts[i] += rep_acts[i];
     return acts;
   }
@@ -396,7 +399,7 @@ class Driver {
     CompiledQuery::Segment seg_orig, seg_rep;
     seg_orig.table = &table_;
     seg_orig.rows = &orig_rows;
-    seg_rep.table = &reps_;
+    seg_rep.table = reps_;
     seg_rep.rows = &other_reps;
     seg_rep.ub_override = &other_ub;
     PAQL_ASSIGN_OR_RETURN(
@@ -418,8 +421,10 @@ class Driver {
   }
 
   const ColumnSource& table_;
-  const Table& reps_;  // one representative row per partitioning group
   const Partitioning& partitioning_;
+  // One representative row per partitioning group, with the columns the
+  // query reads filled; set by Run().
+  const Table* reps_ = nullptr;
   const CompiledQuery& query_;
   const SketchRefineOptions& options_;
   Rng rng_;
@@ -434,6 +439,28 @@ class Driver {
 };
 
 }  // namespace
+
+const Table& QueryRepresentatives(const ColumnSource& table,
+                                  const Partitioning& partitioning,
+                                  const CompiledQuery& query,
+                                  partition::RepresentativeFill* fill) {
+  std::vector<std::string> names = query.objective_columns();
+  for (size_t i = 0; i < query.num_leaf_constraints(); ++i) {
+    const std::vector<std::string>& leaf = query.leaf_columns(i);
+    names.insert(names.end(), leaf.begin(), leaf.end());
+  }
+  std::vector<size_t> cols;
+  for (const std::string& name : names) {
+    auto col = table.schema().FindColumn(name);
+    if (col.has_value() &&
+        table.schema().column(*col).type != relation::DataType::kString) {
+      cols.push_back(*col);
+    }
+  }
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  return partitioning.Representatives(table, cols, fill);
+}
 
 SketchRefineEvaluator::SketchRefineEvaluator(const ColumnSource& table,
                                              const Partitioning& partitioning,

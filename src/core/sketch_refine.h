@@ -51,6 +51,17 @@ struct SketchRefineOptions : engine::ExecContext {
   bool use_hybrid_sketch = true;
 };
 
+/// The representative relation of `partitioning` (made over `table`) with
+/// every numeric column `query` reads filled: the objective's columns and
+/// every leaf constraint's, aggregate filters included
+/// (partition::Partitioning::Representatives). `fill` (optional)
+/// accumulates what this call computed.
+const relation::Table& QueryRepresentatives(
+    const relation::ColumnSource& table,
+    const partition::Partitioning& partitioning,
+    const translate::CompiledQuery& query,
+    partition::RepresentativeFill* fill = nullptr);
+
 /// Evaluates package queries with the SKETCHREFINE algorithm over a fixed
 /// table + offline partitioning.
 class SketchRefineEvaluator {

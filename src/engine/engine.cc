@@ -154,6 +154,25 @@ Plan::RootCuts RootCutsOf(const core::EvalStats& stats) {
           .added = stats.cuts_added};
 }
 
+/// Explain's view of the representative relation of `partitioning` over
+/// `table`, with the on-demand fills `stats` records (none when null).
+Plan::Representatives RepresentativesOf(
+    const partition::Partitioning& partitioning,
+    const relation::ColumnSource& table, const core::EvalStats* stats) {
+  Plan::Representatives out;
+  out.filled = partitioning.filled_representative_columns().size();
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    if (table.schema().column(c).type != relation::DataType::kString) {
+      ++out.columns;
+    }
+  }
+  if (stats != nullptr) {
+    out.filled_on_demand = stats->representative_columns_filled;
+    out.fill_block_reads = stats->representative_block_reads;
+  }
+  return out;
+}
+
 std::string CsvBaseName(const std::string& path) {
   size_t slash = path.find_last_of("/\\");
   std::string name =
@@ -494,6 +513,10 @@ Result<QueryResult> Session::Execute(std::string_view paql) {
   out.objective = result->objective;
   out.stats = result->stats;
   out.plan.root_cuts = RootCutsOf(out.stats);
+  if (partitioning != nullptr) {
+    out.plan.representatives =
+        RepresentativesOf(*partitioning, *resolved.table, &out.stats);
+  }
   if (!resolved.joined_from) {
     out.stats.cache_hits = cached.has_value() ? 1 : 0;
     out.stats.cache_misses = cached.has_value() ? 0 : 1;
@@ -525,6 +548,7 @@ Result<QueryResult> Session::Execute(std::string_view paql) {
     artifacts.plan->plan_cached = false;
     artifacts.plan->warm_cached = false;
     artifacts.plan->root_cuts.reset();
+    artifacts.plan->representatives.reset();
     artifacts.partitioning = std::move(partitioning);
     if (warm_local.root_basis.valid) {
       artifacts.warm_basis = std::move(warm_local.root_basis);
@@ -599,6 +623,8 @@ Result<Session::PlannedQuery> Session::PlanStatement(std::string_view paql) {
   std::shared_ptr<const partition::Partitioning> partitioning;
   if (plan.uses_partitioning()) {
     PAQL_ASSIGN_OR_RETURN(partitioning, PartitioningFor(resolved, &plan));
+    plan.representatives =
+        RepresentativesOf(*partitioning, *resolved.table, nullptr);
   }
   return PlannedQuery{std::move(resolved), std::move(compiled),
                       std::move(plan), std::move(partitioning)};

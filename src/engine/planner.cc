@@ -148,6 +148,16 @@ std::string Plan::Explain() const {
     }
     os << ")\n";
   }
+  if (representatives.has_value()) {
+    os << "representatives: " << representatives->filled << " of "
+       << representatives->columns << " columns";
+    if (representatives->filled_on_demand > 0) {
+      os << " (" << representatives->filled_on_demand
+         << " filled on demand, " << representatives->fill_block_reads
+         << " block reads)";
+    }
+    os << "\n";
+  }
   if (root_cuts.has_value()) {
     os << "root cuts: " << root_cuts->added << " added in "
        << root_cuts->rounds << " rounds, "

@@ -98,6 +98,20 @@ struct Plan {
   double partition_build_ms = 0;
   int64_t partition_block_reads = 0;
 
+  /// The partitioning's representative relation: numeric columns filled
+  /// (after the evaluation, on an executed plan) out of all numeric
+  /// columns of the table, and the columns this plan's evaluation filled
+  /// on demand with the blocks those fills decoded
+  /// (partition::Partitioning::Representatives). Filled by the session;
+  /// reported on Explain's representatives: line.
+  struct Representatives {
+    size_t filled = 0;
+    size_t columns = 0;
+    int64_t filled_on_demand = 0;
+    int64_t fill_block_reads = 0;
+  };
+  std::optional<Representatives> representatives;
+
   /// The root cut loop of an executed plan, summed over its ILP solves
   /// (core::EvalStats::cut_*). Filled by the session after evaluation and
   /// reported on Explain's root cuts: line; empty on a plan that has not

@@ -75,15 +75,15 @@ Result<AbsorbResult> AbsorbBatch(const ColumnSource& table,
     PAQL_ASSIGN_OR_RETURN(size_t col, table.schema().ResolveColumn(attr));
     cols.push_back(col);
   }
-  // Centroids from the representative relation (numeric columns hold the
-  // centroid values; the representative table appends a trailing gid
-  // column, so the first columns line up with the source schema).
+  // Centroids from the representative relation (its attribute columns
+  // hold the centroid values; the representative table appends a trailing
+  // gid column, so the first columns line up with the source schema).
+  const relation::Table& reps = old.Representatives(table, cols);
   std::vector<std::vector<double>> centroids(old.num_groups());
   for (size_t g = 0; g < old.num_groups(); ++g) {
     centroids[g].reserve(cols.size());
     for (size_t col : cols) {
-      centroids[g].push_back(
-          old.representatives.GetDouble(static_cast<RowId>(g), col));
+      centroids[g].push_back(reps.GetDouble(static_cast<RowId>(g), col));
     }
   }
 
@@ -242,6 +242,8 @@ Result<AbsorbResult> AbsorbBatch(const ColumnSource& table,
       out.partitioning,
       MakePartitioningFromGroups(table, old.attributes, old.size_threshold,
                                  old.radius_limit, std::move(final_groups)));
+  // Keep every representative column the old artifact had filled.
+  out.partitioning.Representatives(table, old.filled_representative_columns());
   for (size_t g = 0; g < final_dirty.size(); ++g) {
     if (final_dirty[g]) out.dirty_groups.push_back(static_cast<uint32_t>(g));
   }

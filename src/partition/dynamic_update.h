@@ -16,7 +16,8 @@
 //   3. groups pushed over the size threshold tau or the radius limit omega
 //      are split in place with the quad-tree partitioner;
 //   4. the artifact (centroids, radii, gid map, representative relation) is
-//      rebuilt for the touched groups.
+//      rebuilt over every group, with the representative columns the old
+//      artifact had filled (the rest fill on demand, see partitioner.h).
 //
 // The result reports which groups changed ("dirty" groups), which is what
 // incremental re-evaluation (core/incremental.h) needs: a package computed

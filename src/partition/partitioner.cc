@@ -11,7 +11,6 @@
 #include "common/str_util.h"
 #include "common/thread_pool.h"
 #include "relation/chunk.h"
-#include "relation/csv.h"
 
 namespace paql::partition {
 
@@ -42,32 +41,6 @@ void ParallelIndexFor(size_t n, int threads, const Fn& fn) {
                                        fn(i);
                                      }
                                    });
-}
-
-// --- Gather path: groups given as arbitrary row lists ---------------------
-
-/// Per-attribute means over `rows` (the group centroid), each a chunked
-/// gather (relation/chunk.h) accumulated in list order.
-std::vector<double> GroupCentroid(const ColumnSource& table,
-                                  const std::vector<RowId>& rows,
-                                  const std::vector<size_t>& cols) {
-  std::vector<double> centroid(cols.size());
-  for (size_t k = 0; k < cols.size(); ++k) {
-    centroid[k] = relation::GatherMean(table, cols[k], rows);
-  }
-  return centroid;
-}
-
-/// Max |centroid - value| over `rows` across the partitioning columns.
-double GroupRadius(const ColumnSource& table, const std::vector<RowId>& rows,
-                   const std::vector<size_t>& cols,
-                   const std::vector<double>& centroid) {
-  double radius = 0;
-  for (size_t k = 0; k < cols.size(); ++k) {
-    radius = std::max(radius, relation::GatherMaxAbsDeviation(
-                                  table, cols[k], rows, centroid[k]));
-  }
-  return radius;
 }
 
 // --- Dense path: the quad-tree over columns read once ---------------------
@@ -201,35 +174,45 @@ class QuadTreeBuilder {
   }
 
   /// Split `rows` into groups (appended to `groups`, each keeping the
-  /// rows' relative order) and their radii.
+  /// rows' relative order), their radii and, when `centroids` is given,
+  /// their centroids (appended group-major: one value per attribute).
   void Build(std::vector<RowId> rows,
              std::vector<std::vector<RowId>>* groups,
-             std::vector<double>* radius) {
+             std::vector<double>* radius,
+             std::vector<double>* centroids = nullptr) {
     groups_ = groups;
     radius_ = radius;
+    centroids_ = centroids;
     Split(std::move(rows), 0);
   }
 
  private:
-  void Split(std::vector<RowId> rows, int depth) {
-    if (rows.empty()) return;
-    // Per-attribute centroid and radius, in parallel across attribute
-    // passes; each attribute's fold stays serial, so the result is
-    // bit-identical for any worker count.
+  /// Per-attribute centroid and radius of the non-empty group `rows`, in
+  /// parallel across attribute passes; each attribute's fold stays serial,
+  /// so the result is bit-identical for any worker count.
+  void Fold(const std::vector<RowId>& rows, std::vector<double>* centroid,
+            std::vector<double>* attr_radius) const {
     const size_t k_attrs = columns_.size();
-    std::vector<double> centroid(k_attrs), attr_radius(k_attrs);
+    centroid->resize(k_attrs);
+    attr_radius->resize(k_attrs);
     ParallelIndexFor(
         (k_attrs + kFoldWidth - 1) / kFoldWidth, options_.threads,
         [&](size_t pass) {
-          FoldGroup(columns_, pass * kFoldWidth, rows, centroid.data(),
-                    attr_radius.data());
+          FoldGroup(columns_, pass * kFoldWidth, rows, centroid->data(),
+                    attr_radius->data());
         });
+  }
+
+  void Split(std::vector<RowId> rows, int depth) {
+    if (rows.empty()) return;
+    std::vector<double> centroid, attr_radius;
+    Fold(rows, &centroid, &attr_radius);
     double radius = 0;
     for (double r : attr_radius) radius = std::max(radius, r);
     bool size_ok = rows.size() <= options_.size_threshold;
     bool radius_ok = radius <= options_.radius_limit;
     if ((size_ok && radius_ok) || depth >= options_.max_depth) {
-      Finalize(std::move(rows), radius);
+      Finalize(std::move(rows), radius, centroid);
       return;
     }
     // Partition around the centroid into sub-quadrants. Splitting on all k
@@ -251,11 +234,14 @@ class QuadTreeBuilder {
       // Degenerate: all rows coincide on the partitioning attributes (the
       // radius is then 0). Split by size alone into tau-sized chunks —
       // identical tuples are interchangeable, so any chunking is valid.
+      // A chunk's centroid is its own mean, which the rounding of the sum
+      // may set apart from the parent's.
       size_t chunk = std::max<size_t>(1, options_.size_threshold);
       for (size_t start = 0; start < rows.size(); start += chunk) {
         size_t end = std::min(rows.size(), start + chunk);
         std::vector<RowId> part(rows.begin() + start, rows.begin() + end);
-        Finalize(std::move(part), 0.0);
+        if (centroids_ != nullptr) Fold(part, &centroid, &attr_radius);
+        Finalize(std::move(part), 0.0, centroid);
       }
       return;
     }
@@ -349,9 +335,13 @@ class QuadTreeBuilder {
     return out;
   }
 
-  void Finalize(std::vector<RowId> rows, double radius) {
+  void Finalize(std::vector<RowId> rows, double radius,
+                const std::vector<double>& centroid) {
     groups_->push_back(std::move(rows));
     radius_->push_back(radius);
+    if (centroids_ != nullptr) {
+      centroids_->insert(centroids_->end(), centroid.begin(), centroid.end());
+    }
   }
 
   const std::vector<DenseColumn>& columns_;
@@ -359,16 +349,16 @@ class QuadTreeBuilder {
   std::vector<double> attr_scale_;
   std::vector<std::vector<RowId>>* groups_ = nullptr;
   std::vector<double>* radius_ = nullptr;
+  std::vector<double>* centroids_ = nullptr;
 };
 
 // --- Representative relation ----------------------------------------------
 
-/// The representative relation from per-column group means (`means[c][g]`,
-/// empty for string columns): numeric columns hold the group centroid,
-/// string columns are NULL, and a trailing gid column numbers the rows.
-Table AssembleRepresentatives(const ColumnSource& table,
-                              const std::vector<std::vector<double>>& means,
-                              size_t num_groups) {
+/// An empty representative relation for `num_groups` groups of `table`:
+/// the source columns, every cell NULL, plus a trailing INT64 group-id
+/// column numbering the rows.
+LazyColumnTable NewRepresentatives(const ColumnSource& table,
+                                   size_t num_groups) {
   std::vector<ColumnDef> defs = table.schema().columns();
   // The trailing group-id column is conventionally "gid"; when the source
   // already has one (e.g. a representative relation being partitioned in
@@ -379,103 +369,75 @@ Table AssembleRepresentatives(const ColumnSource& table,
     gid_name = StrCat("gid_", suffix);
   }
   defs.push_back({gid_name, DataType::kInt64});
-  Table reps{Schema(std::move(defs))};
-  reps.Reserve(num_groups);
-  std::vector<Value> row(table.num_columns() + 1);
-  for (size_t g = 0; g < num_groups; ++g) {
-    // Averaging ignores NULLs? For simplicity, NULLs read as 0 here; the
-    // benchmark workloads pre-filter NULL rows per the paper's setup.
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      row[c] = means[c].empty() ? Value::Null() : Value(means[c][g]);
-    }
-    row[table.num_columns()] = Value(static_cast<int64_t>(g));
-    reps.AppendRowUnchecked(row);
-  }
+  LazyColumnTable reps(Schema(std::move(defs)), num_groups);
+  reps.Fill({table.num_columns()}, [&](size_t) {
+    std::vector<double> ids(num_groups);
+    std::iota(ids.begin(), ids.end(), 0.0);
+    return ids;
+  });
   return reps;
 }
 
-bool IsNumeric(const ColumnSource& table, size_t col) {
-  return table.schema().column(col).type != DataType::kString;
-}
-
-/// Representatives of arbitrary row lists: one chunked gather per (group,
-/// column), in parallel across groups. Column-major, so an out-of-core
-/// source keeps one column's blocks in its cache at a time.
-Table GatherRepresentatives(const ColumnSource& table,
-                            const Partitioning& partitioning, int threads) {
-  const size_t num_groups = partitioning.groups.size();
-  std::vector<std::vector<double>> means(table.num_columns());
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    if (!IsNumeric(table, c)) continue;
-    means[c].resize(num_groups);
-    ParallelIndexFor(num_groups, threads, [&](size_t g) {
-      means[c][g] = relation::GatherMean(table, c, partitioning.groups[g]);
+/// Fill the attribute columns `cols` of `reps` from per-group centroids
+/// (`centroids[g * cols.size() + k]` is group g's mean of attribute k).
+void FillCentroids(const LazyColumnTable& reps, const std::vector<size_t>& cols,
+                   const std::vector<double>& centroids) {
+  const size_t width = cols.size();
+  const size_t num_groups = width == 0 ? 0 : centroids.size() / width;
+  for (size_t k = 0; k < width; ++k) {
+    reps.Fill({cols[k]}, [&](size_t) {
+      std::vector<double> means(num_groups);
+      for (size_t g = 0; g < num_groups; ++g) {
+        means[g] = centroids[g * width + k];
+      }
+      return means;
     });
   }
-  return AssembleRepresentatives(table, means, num_groups);
 }
 
-/// Representatives of a partitioning that covers every row and lists each
-/// group's rows in ascending order (every PartitionTable artifact: the
-/// quad-tree starts from 0..n-1 and every split keeps the rows' order).
-/// The numeric columns are read once, front to back, a block-sized window
-/// at a time, and every row adds its values into its group's sums: a
-/// group's sums then accumulate in its list order, so the means equal the
-/// gathered ones bit for bit. Adding a row's columns side by side keeps
-/// many independent add chains in flight. `dense[k]` already holds column
-/// `dense_cols[k]`; workers take disjoint slices of the columns.
-Table ScanRepresentatives(const ColumnSource& table,
-                          const Partitioning& partitioning,
-                          const std::vector<size_t>& dense_cols,
-                          const std::vector<DenseColumn>& dense,
-                          int threads) {
-  const size_t n = table.num_rows();
+/// Each group's mean of numeric column `col`, summed in the group's
+/// row-list order. When every group lists its rows in ascending order
+/// (every PartitionTable artifact: the quad-tree starts from 0..n-1 and
+/// each split keeps the rows' order), one front-to-back pass over the
+/// column, a block-sized window at a time, adds each row into its group's
+/// sum: the sums then accumulate in list order, equal to the gathered
+/// ones bit for bit, and an out-of-core source decodes each block once.
+/// Other artifacts (AbsorbBatch merges, k-means) gather per group. NULLs
+/// read as their stored value (0); the benchmark workloads pre-filter
+/// NULL rows per the paper's setup.
+std::vector<double> GroupMeans(const ColumnSource& table,
+                               const Partitioning& partitioning, size_t col) {
   const size_t num_groups = partitioning.groups.size();
-  std::vector<size_t> numeric;
-  std::vector<const double*> whole;  // in-place arrays; null = read windows
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    if (!IsNumeric(table, c)) continue;
-    auto have = std::find(dense_cols.begin(), dense_cols.end(), c);
-    numeric.push_back(c);
-    whole.push_back(have != dense_cols.end()
-                        ? dense[have - dense_cols.begin()].values
-                        : table.ContiguousDoubles(c));
+  std::vector<double> means(num_groups, 0.0);
+  const bool ascending = std::all_of(
+      partitioning.groups.begin(), partitioning.groups.end(),
+      [](const std::vector<RowId>& rows) {
+        return std::is_sorted(rows.begin(), rows.end());
+      });
+  if (!ascending) {
+    for (size_t g = 0; g < num_groups; ++g) {
+      means[g] = relation::GatherMean(table, col, partitioning.groups[g]);
+    }
+    return means;
   }
-  std::vector<std::vector<double>> means(table.num_columns());
-  const size_t slices =
-      std::min<size_t>(std::max(threads, 1), numeric.size());
-  ParallelIndexFor(slices, threads, [&](size_t slice) {
-    const size_t first = numeric.size() * slice / slices;
-    const size_t width = numeric.size() * (slice + 1) / slices - first;
-    std::vector<double> sums(num_groups * width, 0.0);  // [group][column]
-    std::vector<std::vector<double>> windows(width);
-    std::vector<const double*> window(width);
-    for (size_t start = 0; start < n; start += kMorselRows) {
-      const size_t len = std::min(kMorselRows, n - start);
-      for (size_t j = 0; j < width; ++j) {
-        if (whole[first + j] != nullptr) {
-          window[j] = whole[first + j] + start;
-          continue;
-        }
-        windows[j].resize(kMorselRows);
-        ReadRange(table, numeric[first + j], start, len, windows[j].data());
-        window[j] = windows[j].data();
-      }
-      for (size_t i = 0; i < len; ++i) {
-        double* sum = sums.data() + partitioning.gid[start + i] * width;
-        for (size_t j = 0; j < width; ++j) sum[j] += window[j][i];
-      }
+  const size_t n = partitioning.gid.size();
+  const double* whole = table.ContiguousDoubles(col);
+  std::vector<double> window(whole != nullptr ? 0 : kMorselRows);
+  for (size_t start = 0; start < n; start += kMorselRows) {
+    const size_t len = std::min(kMorselRows, n - start);
+    const double* values = whole != nullptr ? whole + start : window.data();
+    if (whole == nullptr) ReadRange(table, col, start, len, window.data());
+    for (size_t i = 0; i < len; ++i) {
+      const uint32_t g = partitioning.gid[start + i];
+      if (g != kNoGroup) means[g] += values[i];
     }
-    for (size_t j = 0; j < width; ++j) {
-      std::vector<double>& mean = means[numeric[first + j]];
-      mean.resize(num_groups);
-      for (size_t g = 0; g < num_groups; ++g) {
-        mean[g] = sums[g * width + j] /
-                  static_cast<double>(partitioning.groups[g].size());
-      }
+  }
+  for (size_t g = 0; g < num_groups; ++g) {
+    if (!partitioning.groups[g].empty()) {
+      means[g] /= static_cast<double>(partitioning.groups[g].size());
     }
-  });
-  return AssembleRepresentatives(table, means, num_groups);
+  }
+  return means;
 }
 
 std::vector<size_t> ResolveNumericColumns(const ColumnSource& table,
@@ -515,12 +477,128 @@ Result<std::vector<size_t>> ResolveOptions(const ColumnSource& table,
   return cols;
 }
 
+/// The radii of `out`'s groups over the attribute columns `cols` and its
+/// representative relation with those columns filled: per group, one
+/// chunked gather (relation/chunk.h) per attribute for the centroid,
+/// accumulated in list order, then the max |value - centroid|. One group
+/// per worker; each group's float work stays serial, so the artifact is
+/// identical for any worker count.
+void CentroidsAndRadii(const ColumnSource& table,
+                       const std::vector<size_t>& cols, int threads,
+                       Partitioning* out) {
+  const size_t width = cols.size();
+  std::vector<double> centroids(out->groups.size() * width);
+  out->radius.assign(out->groups.size(), 0.0);
+  ParallelIndexFor(out->groups.size(), threads, [&](size_t g) {
+    const std::vector<RowId>& rows = out->groups[g];
+    double* centroid = centroids.data() + g * width;
+    double radius = 0;
+    for (size_t k = 0; k < width; ++k) {
+      centroid[k] = relation::GatherMean(table, cols[k], rows);
+      radius = std::max(radius, relation::GatherMaxAbsDeviation(
+                                    table, cols[k], rows, centroid[k]));
+    }
+    out->radius[g] = radius;
+  });
+  out->representatives = NewRepresentatives(table, out->groups.size());
+  FillCentroids(out->representatives, cols, centroids);
+}
+
 }  // namespace
+
+LazyColumnTable::LazyColumnTable(Schema schema, size_t num_rows)
+    : table_(std::move(schema)), filled_(table_.num_columns()) {
+  table_.Reserve(num_rows);
+  const std::vector<Value> nulls(table_.num_columns(), Value::Null());
+  for (size_t r = 0; r < num_rows; ++r) table_.AppendRowUnchecked(nulls);
+}
+
+LazyColumnTable::LazyColumnTable(const LazyColumnTable& other) {
+  *this = other;
+}
+
+LazyColumnTable& LazyColumnTable::operator=(const LazyColumnTable& other) {
+  if (this == &other) return *this;
+  std::lock_guard<std::mutex> lock(other.mu_);
+  table_ = other.table_;
+  std::vector<std::atomic<bool>> filled(other.filled_.size());
+  for (size_t c = 0; c < filled.size(); ++c) {
+    filled[c].store(other.filled_[c].load(std::memory_order_relaxed),
+                    std::memory_order_relaxed);
+  }
+  filled_ = std::move(filled);
+  return *this;
+}
+
+LazyColumnTable::LazyColumnTable(LazyColumnTable&& other) noexcept
+    : table_(std::move(other.table_)), filled_(std::move(other.filled_)) {}
+
+LazyColumnTable& LazyColumnTable::operator=(LazyColumnTable&& other) noexcept {
+  table_ = std::move(other.table_);
+  filled_ = std::move(other.filled_);
+  return *this;
+}
+
+const Table& LazyColumnTable::Fill(
+    const std::vector<size_t>& cols,
+    const std::function<std::vector<double>(size_t)>& compute,
+    size_t* computed) const {
+  if (computed != nullptr) *computed = 0;
+  if (std::all_of(cols.begin(), cols.end(),
+                  [this](size_t c) { return filled(c); })) {
+    return table_;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (size_t c : cols) {
+    PAQL_CHECK_MSG(c < filled_.size(), "column " << c << " out of range");
+    if (filled_[c].load(std::memory_order_relaxed)) continue;
+    const std::vector<double> values = compute(c);
+    PAQL_CHECK(values.size() == table_.num_rows());
+    for (size_t r = 0; r < values.size(); ++r) {
+      table_.SetValue(static_cast<RowId>(r), c, Value(values[r]));
+    }
+    filled_[c].store(true, std::memory_order_release);
+    if (computed != nullptr) ++*computed;
+  }
+  return table_;
+}
+
+std::vector<size_t> LazyColumnTable::filled_columns() const {
+  std::vector<size_t> out;
+  for (size_t c = 0; c < filled_.size(); ++c) {
+    if (filled(c)) out.push_back(c);
+  }
+  return out;
+}
 
 size_t Partitioning::max_group_size() const {
   size_t best = 0;
   for (const auto& g : groups) best = std::max(best, g.size());
   return best;
+}
+
+std::vector<size_t> Partitioning::filled_representative_columns() const {
+  std::vector<size_t> out = representatives.filled_columns();
+  // The trailing group-id column is filled from the start.
+  if (!out.empty()) out.pop_back();
+  return out;
+}
+
+const Table& Partitioning::Representatives(const ColumnSource& table,
+                                           const std::vector<size_t>& cols,
+                                           RepresentativeFill* fill) const {
+  PAQL_CHECK_MSG(table.num_rows() >= gid.size(),
+                 "the table has fewer rows than the partitioning covers");
+  const int64_t decoded_before = table.BlocksDecoded();
+  size_t computed = 0;
+  const Table& reps = representatives.Fill(
+      cols, [&](size_t col) { return GroupMeans(table, *this, col); },
+      &computed);
+  if (fill != nullptr && computed > 0) {
+    fill->columns += computed;
+    fill->block_reads += table.BlocksDecoded() - decoded_before;
+  }
+  return reps;
 }
 
 Result<Partitioning> PartitionTable(const ColumnSource& table,
@@ -540,14 +618,15 @@ Result<Partitioning> PartitionTable(const ColumnSource& table,
   out.radius_limit = options.radius_limit;
   std::vector<RowId> all(table.num_rows());
   std::iota(all.begin(), all.end(), RowId{0});
+  std::vector<double> centroids;
   QuadTreeBuilder(columns, table.num_rows(), options)
-      .Build(std::move(all), &out.groups, &out.radius);
+      .Build(std::move(all), &out.groups, &out.radius, &centroids);
   out.gid.assign(table.num_rows(), 0);
   for (size_t g = 0; g < out.groups.size(); ++g) {
     for (RowId r : out.groups[g]) out.gid[r] = static_cast<uint32_t>(g);
   }
-  out.representatives =
-      ScanRepresentatives(table, out, cols, columns, options.threads);
+  out.representatives = NewRepresentatives(table, out.groups.size());
+  FillCentroids(out.representatives, cols, centroids);
   out.build_seconds = watch.ElapsedSeconds();
   out.build_block_reads = table.BlocksDecoded() - decoded_before;
   return out;
@@ -594,7 +673,6 @@ Result<Partitioning> MakePartitioningFromGroups(
   out.radius_limit = radius_limit;
   out.gid.assign(table.num_rows(), kNoGroup);
   out.groups = std::move(groups);
-  out.radius.resize(out.groups.size());
   for (size_t g = 0; g < out.groups.size(); ++g) {
     if (out.groups[g].empty()) {
       return Status::InvalidArgument(StrCat("group ", g, " is empty"));
@@ -609,19 +687,13 @@ Result<Partitioning> MakePartitioningFromGroups(
       out.gid[r] = static_cast<uint32_t>(g);
     }
   }
-  // Per-group radii, one group per worker (each group's float accumulation
-  // stays serial, so the artifact is identical for any worker count).
-  ParallelIndexFor(out.groups.size(), threads, [&](size_t g) {
-    std::vector<double> centroid = GroupCentroid(table, out.groups[g], cols);
-    out.radius[g] = GroupRadius(table, out.groups[g], cols, centroid);
-  });
   for (RowId r = 0; r < table.num_rows(); ++r) {
     if (out.gid[r] == kNoGroup && !table.RowDeleted(r)) {
       return Status::InvalidArgument(
           StrCat("live row ", r, " not covered by any group"));
     }
   }
-  out.representatives = GatherRepresentatives(table, out, threads);
+  CentroidsAndRadii(table, cols, threads, &out);
   return out;
 }
 
@@ -655,19 +727,14 @@ Result<Partitioning> ShrinkToSubset(const ColumnSource& table,
   }
   out.groups = std::move(new_groups);
 
-  // Recompute radii over the subset.
+  // Recompute radii and the filled representative columns over the
+  // subset.
   Status status;
   std::vector<size_t> cols =
       ResolveNumericColumns(sub, out.attributes, &status);
   PAQL_RETURN_IF_ERROR(status);
-  out.radius.resize(out.groups.size());
-  // One group per worker, serial float work within each (see
-  // MakePartitioningFromGroups).
-  ParallelIndexFor(out.groups.size(), threads, [&](size_t g) {
-    std::vector<double> centroid = GroupCentroid(sub, out.groups[g], cols);
-    out.radius[g] = GroupRadius(sub, out.groups[g], cols, centroid);
-  });
-  out.representatives = GatherRepresentatives(sub, out, threads);
+  CentroidsAndRadii(sub, cols, threads, &out);
+  out.Representatives(sub, partitioning.filled_representative_columns());
   return out;
 }
 
@@ -690,49 +757,6 @@ Result<double> RadiusLimitForEpsilon(const ColumnSource& table,
   }
   double gamma = maximize ? epsilon : epsilon / (1.0 + epsilon);
   return gamma * min_abs;
-}
-
-Status SavePartitioning(const Partitioning& partitioning,
-                        const std::string& path_prefix) {
-  // gid assignment as a single-column table.
-  Table gid_table{Schema({{"gid", DataType::kInt64}})};
-  gid_table.Reserve(partitioning.gid.size());
-  for (uint32_t g : partitioning.gid) {
-    gid_table.AppendRowUnchecked({Value(static_cast<int64_t>(g))});
-  }
-  PAQL_RETURN_IF_ERROR(
-      relation::WriteCsv(gid_table, path_prefix + ".gid.csv"));
-  return relation::WriteCsv(partitioning.representatives,
-                            path_prefix + ".reps.csv");
-}
-
-Result<Partitioning> LoadPartitioning(const ColumnSource& table,
-                                      const std::string& path_prefix) {
-  PAQL_ASSIGN_OR_RETURN(Table gid_table,
-                        relation::ReadCsv(path_prefix + ".gid.csv"));
-  PAQL_ASSIGN_OR_RETURN(Table reps,
-                        relation::ReadCsv(path_prefix + ".reps.csv"));
-  if (gid_table.num_rows() != table.num_rows()) {
-    return Status::InvalidArgument(
-        StrCat("partitioning covers ", gid_table.num_rows(),
-               " rows but the table has ", table.num_rows()));
-  }
-  Partitioning out;
-  out.representatives = std::move(reps);
-  out.gid.resize(table.num_rows());
-  out.groups.resize(out.representatives.num_rows());
-  for (RowId r = 0; r < table.num_rows(); ++r) {
-    int64_t g = gid_table.GetInt64(r, 0);
-    if (g < 0 || static_cast<size_t>(g) >= out.groups.size()) {
-      return Status::InvalidArgument(StrCat("row ", r, " has bad gid ", g));
-    }
-    out.gid[r] = static_cast<uint32_t>(g);
-    out.groups[static_cast<size_t>(g)].push_back(r);
-  }
-  out.radius.assign(out.groups.size(), 0.0);  // radii are not persisted
-  out.size_threshold = out.max_group_size();
-  out.radius_limit = std::numeric_limits<double>::infinity();
-  return out;
 }
 
 }  // namespace paql::partition

@@ -14,29 +14,34 @@
 //  * deriving partitionings for smaller dataset fractions by dropping rows
 //    while keeping group boundaries (this preserves the size condition).
 //
-// How PartitionTable reads the source: each column once, front to back.
+// How PartitionTable reads the source: the partitioning attributes only,
+// each once, front to back.
 //  * The k partitioning attributes are read into dense arrays before the
 //    tree is built; every level's centroid sums, radius folds and quadrant
 //    masks then index those arrays. An in-memory DOUBLE column is used in
 //    place (ColumnSource::ContiguousDoubles); any other column costs
 //    8 bytes per row, so the extra memory is about k x 8 B x rows for an
 //    out-of-core or versioned source.
-//  * The representatives take one more contiguous pass over each other
-//    numeric column (the partitioning columns reuse their arrays), adding
-//    every row into its group's sum as the scan passes it. That equals
-//    the per-group gather only because each group lists its rows in
-//    ascending order, which holds for every group the quad-tree makes: it
-//    starts from rows 0..n-1 and each split keeps the rows' order.
-//    MakePartitioningFromGroups takes groups in any order (incremental
-//    maintenance appends rows out of order), so it gathers per group.
+//  * Each group's centroid on the attributes is the one the tree computed
+//    when it finalized the group, so the representative relation's
+//    attribute columns cost no further read.
+//  * Every other numeric column of the representative relation is filled
+//    on demand, the first time a reader asks for it
+//    (Partitioning::Representatives): a query that aggregates three
+//    columns of a fourteen-column table reads three. Artifacts derived
+//    from another (ShrinkToSubset, AbsorbBatch) keep the columns it had
+//    filled.
 // Sums stay scalar in row-list order, and the radii and attribute ranges
-// are maxima and minima that no visiting order changes, so the artifact
-// is bit-identical to one gathered group by group, on an in-memory,
-// out-of-core or versioned source alike.
+// are maxima and minima that no visiting order changes, so every column,
+// however it is filled, is bit-identical to a mean gathered group by
+// group, on an in-memory, out-of-core or versioned source alike.
 #ifndef PAQL_PARTITION_PARTITIONER_H_
 #define PAQL_PARTITION_PARTITIONER_H_
 
+#include <atomic>
+#include <functional>
 #include <limits>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -62,10 +67,10 @@ struct PartitionOptions {
   int max_depth = 64;
 
   /// Workers for the offline statistics, drawn from the shared pool;
-  /// <= 1 = serial. PartitionTable reads the partitioning columns, folds
-  /// each level's per-attribute centroids and radii, and scans the
-  /// representative columns in parallel across attributes;
-  /// MakePartitioningFromGroups works in parallel across groups. Each
+  /// <= 1 = serial. PartitionTable reads the partitioning columns and
+  /// folds each level's per-attribute centroids and radii in parallel
+  /// across attributes; MakePartitioningFromGroups works in parallel
+  /// across groups. Each
   /// order-sensitive float sum stays inside one worker, so the
   /// partitioning is bit-for-bit identical for any worker count.
   int threads = 1;
@@ -75,6 +80,50 @@ struct PartitionOptions {
 /// versioned table (relation/table_version.h) may carry it: live rows are
 /// always covered (MakePartitioningFromGroups enforces this).
 inline constexpr uint32_t kNoGroup = UINT32_MAX;
+
+/// A table whose columns are filled one at a time, each at most once, by
+/// whichever reader first needs it. Unfilled columns read NULL. The fill
+/// runs under a lock; a column's values are written before its flag is
+/// published, and a filled column is never written again, so readers of
+/// filled columns never wait and concurrent readers all see the same bits.
+/// Copies take the filled columns with them.
+class LazyColumnTable {
+ public:
+  LazyColumnTable() = default;
+  /// A table of `num_rows` rows over `schema`, every cell NULL and no
+  /// column filled.
+  LazyColumnTable(relation::Schema schema, size_t num_rows);
+  LazyColumnTable(const LazyColumnTable& other);
+  LazyColumnTable& operator=(const LazyColumnTable& other);
+  LazyColumnTable(LazyColumnTable&& other) noexcept;
+  LazyColumnTable& operator=(LazyColumnTable&& other) noexcept;
+
+  /// The table with every column of `cols` filled: `compute(col)` returns
+  /// the num_rows() values of each column not yet filled (stored through
+  /// Table::SetValue, so an INT64 column keeps their integer part).
+  /// Returns how many columns this call computed in `*computed`.
+  const relation::Table& Fill(
+      const std::vector<size_t>& cols,
+      const std::function<std::vector<double>(size_t)>& compute,
+      size_t* computed = nullptr) const;
+
+  bool filled(size_t col) const {
+    return col < filled_.size() && filled_[col].load(std::memory_order_acquire);
+  }
+  /// The filled columns, ascending.
+  std::vector<size_t> filled_columns() const;
+
+ private:
+  mutable std::mutex mu_;
+  mutable relation::Table table_;  // a column is written only before its flag
+  mutable std::vector<std::atomic<bool>> filled_;
+};
+
+/// What one Partitioning::Representatives call computed.
+struct RepresentativeFill {
+  size_t columns = 0;       // columns filled by this call
+  int64_t block_reads = 0;  // blocks the source decoded for them
+};
 
 /// The partitioning artifact P = {(G_j, t~_j)}.
 struct Partitioning {
@@ -92,10 +141,13 @@ struct Partitioning {
   /// Group radii over the partitioning attributes.
   std::vector<double> radius;
 
-  /// Representative relation: same columns as the source table (numeric
-  /// columns hold the group centroid, string columns are NULL) plus a
-  /// trailing INT64 `gid` column. Row g is the representative of group g.
-  relation::Table representatives;
+  /// Representative relation R~: same columns as the source table plus a
+  /// trailing INT64 `gid` column; row g is the representative of group g.
+  /// A numeric column holds the group centroid once filled and NULL
+  /// before; string columns are always NULL. The partitioning attributes
+  /// are filled when the artifact is made, every other numeric column on
+  /// the first Representatives() call that names it.
+  LazyColumnTable representatives;
 
   /// What PartitionTable spent on this artifact: wall time, and blocks the
   /// source decoded from storage meanwhile (0 for in-memory sources; see
@@ -104,6 +156,23 @@ struct Partitioning {
   int64_t build_block_reads = 0;
 
   size_t num_groups() const { return groups.size(); }
+
+  /// The representative relation with numeric columns `cols` of `table`
+  /// filled. `table` is the relation the partitioning was made over, or a
+  /// later version of it with rows appended (row ids are stable, so the
+  /// groups' rows read the same values). A missing column is computed
+  /// once, thread-safely: each group's mean, summed in the group's
+  /// row-list order, read by one front-to-back scan of the column when
+  /// every group lists its rows in ascending order and by a gather per
+  /// group otherwise. `fill` (optional) accumulates what this call
+  /// computed.
+  const relation::Table& Representatives(
+      const relation::ColumnSource& table, const std::vector<size_t>& cols,
+      RepresentativeFill* fill = nullptr) const;
+
+  /// The source columns whose representatives are filled, ascending (the
+  /// trailing group-id column, filled from the start, is not listed).
+  std::vector<size_t> filled_representative_columns() const;
 
   /// Largest group size (must be <= size_threshold).
   size_t max_group_size() const;
@@ -123,7 +192,8 @@ Result<std::vector<std::vector<relation::RowId>>> QuadTreeGroups(
     const std::vector<relation::RowId>& rows, const PartitionOptions& options);
 
 /// Assemble a Partitioning artifact from an explicit group assignment:
-/// computes gids, centroids, radii, and the representative relation. Groups
+/// computes gids, centroids and radii, and fills the representative
+/// relation's attribute columns with the centroids. Groups
 /// must be disjoint and cover every live row of `table` (deleted rows of a
 /// versioned table may be left out; they get gid == kNoGroup). Shared by
 /// all partitioning methods (quad tree, k-means, k-d tree, grid) so that
@@ -135,8 +205,9 @@ Result<Partitioning> MakePartitioningFromGroups(
 
 /// Restrict a partitioning to a row subset of the same table (used by the
 /// scalability experiments, which shrink datasets to 10%..100%). Group
-/// boundaries are preserved; centroids, radii, and sizes are recomputed on
-/// the surviving rows; emptied groups are dropped. `subset` maps new row
+/// boundaries are preserved; centroids, radii, sizes and the representative
+/// columns `partitioning` had filled are recomputed on the surviving rows;
+/// emptied groups are dropped. `subset` maps new row
 /// ids to old ones: new table row k == old table row subset[k].
 Result<Partitioning> ShrinkToSubset(const relation::ColumnSource& table,
                                     const Partitioning& partitioning,
@@ -153,12 +224,6 @@ Result<Partitioning> ShrinkToSubset(const relation::ColumnSource& table,
 Result<double> RadiusLimitForEpsilon(const relation::ColumnSource& table,
                                      const std::vector<std::string>& attributes,
                                      double epsilon, bool maximize);
-
-/// Persistence: gid assignment + representatives, as two CSV files.
-Status SavePartitioning(const Partitioning& partitioning,
-                        const std::string& path_prefix);
-Result<Partitioning> LoadPartitioning(const relation::ColumnSource& table,
-                                      const std::string& path_prefix);
 
 }  // namespace paql::partition
 

@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "common/rng.h"
+#include "relation/chunk.h"
 
 namespace paql::partition {
 namespace {
@@ -64,7 +66,7 @@ void CheckInvariants(const Table& t, const Partitioning& p) {
     }
   }
   EXPECT_EQ(seen.size(), t.num_rows());
-  EXPECT_EQ(p.representatives.num_rows(), p.num_groups());
+  EXPECT_EQ(p.Representatives(t, {}).num_rows(), p.num_groups());
 }
 
 TEST(AbsorbTest, AppendedRowsJoinNearestGroup) {
@@ -187,7 +189,7 @@ void CheckInvariantsWithDeletes(const relation::ColumnSource& t,
     }
   }
   EXPECT_EQ(seen.size(), live);
-  EXPECT_EQ(p.representatives.num_rows(), p.num_groups());
+  EXPECT_EQ(p.Representatives(t, {}).num_rows(), p.num_groups());
 }
 
 /// A Table plus a delete bitmap — the minimal ColumnSource AbsorbBatch
@@ -356,6 +358,101 @@ TEST(AbsorbBatchTest, AbsorbedArtifactAbsorbsAgain) {
   EXPECT_EQ(r2->rows_removed, 3u);
   EXPECT_EQ(r2->rows_absorbed, 6u);
   CheckInvariantsWithDeletes(dt2, r2->partitioning);
+}
+
+/// Bitwise double equality.
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+// A long stream of mixed batches that split crowded groups and dissolve
+// thinned ones. The representative columns the artifact had filled stay
+// filled through every batch and equal each group's mean gathered in its
+// row-list order (the eager relation every artifact used to carry); a
+// column first requested after the stream fills to the same bits.
+TEST(AbsorbBatchTest, FilledRepresentativeColumnsSurviveAStream) {
+  Table t{Schema({{"id", DataType::kInt64},
+                  {"x", DataType::kDouble},
+                  {"y", DataType::kDouble},
+                  {"w", DataType::kDouble},
+                  {"v", DataType::kDouble}})};
+  Rng rng(4242);
+  auto append = [&](int n, double lo, double hi) {
+    for (int i = 0; i < n; ++i) {
+      const int64_t id = static_cast<int64_t>(t.num_rows());
+      EXPECT_TRUE(t.AppendRow({Value(id * 3 + 1), Value(rng.Uniform(lo, hi)),
+                               Value(rng.Uniform(lo, hi)),
+                               Value(rng.Uniform(-5.0, 5.0) / 3.0),
+                               Value(rng.Gaussian(7.0, 2.5))})
+                      .ok());
+    }
+  };
+  append(400, 0.0, 100.0);
+  PartitionOptions opts;
+  opts.attributes = {"x", "y"};
+  opts.size_threshold = 40;
+  auto built = PartitionTable(t, opts);
+  ASSERT_TRUE(built.ok()) << built.status();
+  Partitioning p = std::move(*built);
+  const size_t id = 0, w = 3, v = 4;
+  p.Representatives(t, {w});
+
+  std::vector<RowId> all_deleted;
+  std::set<RowId> deleted_set;
+  size_t splits = 0, merges = 0;
+  for (int round = 0; round < 12; ++round) {
+    // Odd rounds thin out one corner (dissolving groups there); even
+    // rounds crowd another (splitting groups there).
+    std::vector<RowId> batch_deletes;
+    const double corner = 25.0 * (round % 4);
+    for (RowId r = 0; r < p.gid.size(); ++r) {
+      if (round % 2 == 1 && p.gid[r] != kNoGroup &&
+          t.GetDouble(r, 1) >= corner && t.GetDouble(r, 1) < corner + 25.0 &&
+          rng.Uniform(0.0, 1.0) < 0.7 && deleted_set.insert(r).second) {
+        batch_deletes.push_back(r);
+      }
+    }
+    if (round % 2 == 0) append(60, corner, corner + 10.0);
+    all_deleted.insert(all_deleted.end(), batch_deletes.begin(),
+                       batch_deletes.end());
+    DeletableTable dt(t, all_deleted);
+    auto r = AbsorbBatch(dt, p, batch_deletes);
+    ASSERT_TRUE(r.ok()) << "round " << round << ": " << r.status();
+    splits += r->groups_split;
+    merges += r->groups_merged;
+    p = std::move(r->partitioning);
+    CheckInvariantsWithDeletes(dt, p);
+    EXPECT_EQ(p.filled_representative_columns(),
+              (std::vector<size_t>{1, 2, w}))
+        << "round " << round;
+    const Table& reps = p.Representatives(dt, {});
+    for (size_t g = 0; g < p.num_groups(); ++g) {
+      ASSERT_TRUE(SameBits(reps.GetDouble(static_cast<RowId>(g), w),
+                           relation::GatherMean(dt, w, p.groups[g])))
+          << "round " << round << " group " << g;
+    }
+  }
+  EXPECT_GT(splits, 0u);
+  EXPECT_GT(merges, 0u);
+  // Merges append rows out of order, so the fill below gathers per group.
+  EXPECT_FALSE(std::all_of(p.groups.begin(), p.groups.end(),
+                           [](const std::vector<RowId>& rows) {
+                             return std::is_sorted(rows.begin(), rows.end());
+                           }));
+
+  DeletableTable dt(t, all_deleted);
+  RepresentativeFill fill;
+  const Table& reps = p.Representatives(dt, {id, v}, &fill);
+  EXPECT_EQ(fill.columns, 2u);
+  for (size_t g = 0; g < p.num_groups(); ++g) {
+    const double id_mean = relation::GatherMean(dt, id, p.groups[g]);
+    EXPECT_EQ(reps.GetInt64(static_cast<RowId>(g), id),
+              static_cast<int64_t>(id_mean))
+        << "group " << g;
+    EXPECT_TRUE(SameBits(reps.GetDouble(static_cast<RowId>(g), v),
+                         relation::GatherMean(dt, v, p.groups[g])))
+        << "group " << g;
+  }
 }
 
 class AbsorbBatchSeedTest : public ::testing::TestWithParam<unsigned> {};

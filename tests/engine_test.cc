@@ -310,9 +310,39 @@ TEST(EngineTest, ExplainReportsPartitionBuildCost) {
       << *report;
   EXPECT_GT(std::stod(built[1]), 0.0);
   EXPECT_EQ(built[2], "2") << *report;
+  // Both numeric columns are partitioning attributes, filled by the build.
+  EXPECT_NE(report->find("representatives: 2 of 2 columns\n"),
+            std::string::npos)
+      << *report;
   auto again = session->Explain(kExample1);
   ASSERT_TRUE(again.ok()) << again.status();
   EXPECT_NE(again->find("(cached)"), std::string::npos) << *again;
+
+  // Partitioned on saturated_fat alone, the build reads one block and
+  // leaves kcal unfilled; the first run fills it (one block read) and a
+  // second finds it filled.
+  EngineOptions one_attribute = options;
+  one_attribute.planner.partition_attributes = {"saturated_fat"};
+  auto lazy = Engine::OpenDisk(path, one_attribute);
+  ASSERT_TRUE(lazy.ok()) << lazy.status();
+  auto planned = lazy->Explain(kExample1);
+  ASSERT_TRUE(planned.ok()) << planned.status();
+  EXPECT_NE(planned->find("1 block reads)\nrepresentatives: 1 of 2 columns\n"),
+            std::string::npos)
+      << *planned;
+  auto first = lazy->Execute(kExample1);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_NEAR(first->objective, kExample1Optimum, 1e-9);
+  EXPECT_NE(first->plan.Explain().find(
+                "representatives: 2 of 2 columns (1 filled on demand, 1 "
+                "block reads)\n"),
+            std::string::npos)
+      << first->plan.Explain();
+  auto second = lazy->Execute(kExample1);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_NE(second->plan.Explain().find("representatives: 2 of 2 columns\n"),
+            std::string::npos)
+      << second->plan.Explain();
   std::remove(path.c_str());
 
   // An in-memory table decodes nothing.

@@ -14,7 +14,11 @@
 // so the OS timeslices and the interleavings still exercise the locks.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <set>
+#include <thread>
 
 #include "common/rng.h"
 #include "common/str_util.h"
@@ -206,17 +210,89 @@ TEST(ParallelPartitionTest, ArtifactIsIdenticalAcrossWorkerCounts) {
   ASSERT_EQ(serial->num_groups(), parallel->num_groups());
   EXPECT_EQ(serial->gid, parallel->gid);
   EXPECT_EQ(serial->radius, parallel->radius);
-  ASSERT_EQ(serial->representatives.num_rows(),
-            parallel->representatives.num_rows());
-  for (RowId r = 0; r < serial->representatives.num_rows(); ++r) {
-    for (size_t c = 0; c < serial->representatives.num_columns(); ++c) {
-      if (serial->representatives.schema().column(c).type ==
-          relation::DataType::kString) {
-        continue;
-      }
-      EXPECT_EQ(serial->representatives.GetDouble(r, c),
-                parallel->representatives.GetDouble(r, c))
+  std::vector<size_t> numeric;
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    if (t.schema().column(c).type != relation::DataType::kString) {
+      numeric.push_back(c);
+    }
+  }
+  const Table& serial_reps = serial->Representatives(t, numeric);
+  const Table& parallel_reps = parallel->Representatives(t, numeric);
+  ASSERT_EQ(serial_reps.num_rows(), parallel_reps.num_rows());
+  for (RowId r = 0; r < serial_reps.num_rows(); ++r) {
+    for (size_t c : numeric) {
+      EXPECT_EQ(serial_reps.GetDouble(r, c), parallel_reps.GetDouble(r, c))
           << "rep " << r << " col " << c;
+    }
+  }
+}
+
+// Readers sharing one partitioning (the engine caches a single artifact
+// for every session) ask for overlapping representative columns at once.
+// Each column is computed exactly once, whichever reader gets there first,
+// and every reader sees the bits of the group means gathered in row-list
+// order (their integer part in an INT64 column).
+TEST(ParallelPartitionTest, ConcurrentReadersFillEachColumnOnce) {
+  const Table t = workload::MakeGalaxyTable(30000);
+  partition::PartitionOptions options;
+  options.attributes = {"petroRad_r", "redshift"};
+  options.size_threshold = 3000;
+  auto built = partition::PartitionTable(t, options);
+  ASSERT_TRUE(built.ok()) << built.status();
+  const partition::Partitioning& p = *built;
+  std::vector<size_t> lazy;  // numeric columns the build left unfilled
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    if (!p.representatives.filled(c)) lazy.push_back(c);
+  }
+  ASSERT_GE(lazy.size(), 6u);
+
+  constexpr size_t kReaders = 6;
+  std::vector<std::vector<size_t>> wants(kReaders);
+  std::vector<partition::RepresentativeFill> fills(kReaders);
+  std::vector<std::vector<uint64_t>> seen(kReaders);
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> readers;
+  for (size_t i = 0; i < kReaders; ++i) {
+    // Three consecutive columns each, so neighbours overlap in two.
+    for (size_t k = 0; k < 3; ++k) {
+      wants[i].push_back(lazy[(i + k) % lazy.size()]);
+    }
+    readers.emplace_back([&, i] {
+      ++ready;
+      while (ready.load() < kReaders) std::this_thread::yield();
+      const Table& reps = p.Representatives(t, wants[i], &fills[i]);
+      for (size_t c : wants[i]) {
+        for (RowId g = 0; g < reps.num_rows(); ++g) {
+          const double v = reps.GetDouble(g, c);
+          uint64_t bits;
+          std::memcpy(&bits, &v, sizeof(bits));
+          seen[i].push_back(bits);
+        }
+      }
+    });
+  }
+  for (auto& reader : readers) reader.join();
+
+  std::set<size_t> distinct;
+  size_t computed = 0;
+  for (size_t i = 0; i < kReaders; ++i) {
+    distinct.insert(wants[i].begin(), wants[i].end());
+    computed += fills[i].columns;
+  }
+  EXPECT_EQ(computed, distinct.size());
+  for (size_t i = 0; i < kReaders; ++i) {
+    size_t at = 0;
+    for (size_t c : wants[i]) {
+      for (size_t g = 0; g < p.num_groups(); ++g) {
+        double expect = relation::GatherMean(t, c, p.groups[g]);
+        if (t.schema().column(c).type == relation::DataType::kInt64) {
+          expect = static_cast<double>(static_cast<int64_t>(expect));
+        }
+        uint64_t bits;
+        std::memcpy(&bits, &expect, sizeof(bits));
+        EXPECT_EQ(seen[i][at++], bits)
+            << "reader " << i << " column " << c << " group " << g;
+      }
     }
   }
 }

@@ -7,8 +7,11 @@
 #include <memory>
 
 #include "common/rng.h"
+#include "core/sketch_refine.h"
+#include "paql/parser.h"
 #include "partition/partitioner.h"
 #include "relation/block_store.h"
+#include "relation/chunk.h"
 #include "relation/disk_table.h"
 #include "relation/table_version.h"
 #include "workload/galaxy.h"
@@ -50,12 +53,14 @@ void CheckInvariants(const Table& table, const Partitioning& p,
     }
   }
   for (RowId r = 0; r < table.num_rows(); ++r) EXPECT_EQ(seen[r], 1);
-  // Representatives: one per group, trailing gid column matches.
-  ASSERT_EQ(p.representatives.num_rows(), p.num_groups());
-  size_t gid_col = p.representatives.num_columns() - 1;
-  EXPECT_EQ(p.representatives.schema().column(gid_col).name, "gid");
+  // Representatives: one per group, trailing gid column matches; the
+  // attribute columns are filled when the artifact is made.
+  const Table& reps = p.Representatives(table, {});
+  ASSERT_EQ(reps.num_rows(), p.num_groups());
+  size_t gid_col = reps.num_columns() - 1;
+  EXPECT_EQ(reps.schema().column(gid_col).name, "gid");
   for (size_t g = 0; g < p.num_groups(); ++g) {
-    EXPECT_EQ(p.representatives.GetInt64(static_cast<RowId>(g), gid_col),
+    EXPECT_EQ(reps.GetInt64(static_cast<RowId>(g), gid_col),
               static_cast<int64_t>(g));
   }
   // Radii within limit, and representatives are the group centroids.
@@ -69,10 +74,10 @@ void CheckInvariants(const Table& table, const Partitioning& p,
       double sum = 0;
       for (RowId r : p.groups[g]) sum += table.GetDouble(r, *col);
       double mean = sum / static_cast<double>(p.groups[g].size());
-      auto rep_col = p.representatives.schema().FindColumn(p.attributes[k]);
+      auto rep_col = reps.schema().FindColumn(p.attributes[k]);
       ASSERT_TRUE(rep_col.has_value());
-      EXPECT_NEAR(p.representatives.GetDouble(static_cast<RowId>(g), *rep_col),
-                  mean, 1e-9);
+      EXPECT_NEAR(reps.GetDouble(static_cast<RowId>(g), *rep_col), mean,
+                  1e-9);
       // Recomputed radius must match the stored one.
       double radius = 0;
       for (RowId r : p.groups[g]) {
@@ -161,9 +166,9 @@ TEST(PartitionerTest, StringColumnsBecomeNullRepresentatives) {
   options.size_threshold = 10;
   auto p = PartitionTable(t, options);
   ASSERT_TRUE(p.ok());
-  auto tag_col = p->representatives.schema().FindColumn("tag");
+  auto tag_col = t.schema().FindColumn("tag");
   ASSERT_TRUE(tag_col.has_value());
-  EXPECT_TRUE(p->representatives.IsNull(0, *tag_col));
+  EXPECT_TRUE(p->Representatives(t, {}).IsNull(0, *tag_col));
 }
 
 TEST(PartitionerTest, RejectsBadOptions) {
@@ -236,25 +241,6 @@ TEST(RadiusForEpsilonTest, FormulaAndValidation) {
   EXPECT_FALSE(RadiusLimitForEpsilon(t, {"x"}, -1, true).ok());
   EXPECT_FALSE(RadiusLimitForEpsilon(t, {"x"}, 1.0, true).ok());
   EXPECT_TRUE(RadiusLimitForEpsilon(t, {"x"}, 1.0, false).ok());
-}
-
-TEST(PersistenceTest, SaveLoadRoundTrip) {
-  Table t = MakeClusteredTable(20, 2, 8);
-  PartitionOptions options;
-  options.attributes = {"x", "y"};
-  options.size_threshold = 15;
-  auto p = PartitionTable(t, options);
-  ASSERT_TRUE(p.ok());
-  std::string prefix =
-      (std::filesystem::temp_directory_path() / "paql_part_test").string();
-  ASSERT_TRUE(SavePartitioning(*p, prefix).ok());
-  auto loaded = LoadPartitioning(t, prefix);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->num_groups(), p->num_groups());
-  EXPECT_EQ(loaded->gid, p->gid);
-  EXPECT_EQ(loaded->representatives.num_rows(), p->representatives.num_rows());
-  std::remove((prefix + ".gid.csv").c_str());
-  std::remove((prefix + ".reps.csv").c_str());
 }
 
 // Property sweep: random tables, varying tau, with and without radius.
@@ -333,8 +319,26 @@ uint64_t Bits(double v) {
   return bits;
 }
 
-/// Same groups, and radii and representatives equal bit for bit.
-void ExpectIdenticalPartitionings(const Partitioning& expect,
+/// The numeric columns of `table`.
+std::vector<size_t> NumericColumns(const relation::ColumnSource& table) {
+  std::vector<size_t> cols;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    if (table.schema().column(c).type != DataType::kString) cols.push_back(c);
+  }
+  return cols;
+}
+
+/// The representative relation with every numeric column filled.
+const Table& AllRepresentatives(const relation::ColumnSource& table,
+                                const Partitioning& p) {
+  return p.Representatives(table, NumericColumns(table));
+}
+
+/// Same groups, and radii and representatives equal bit for bit, every
+/// representative column filled from the artifact's own source.
+void ExpectIdenticalPartitionings(const relation::ColumnSource& expect_source,
+                                  const Partitioning& expect,
+                                  const relation::ColumnSource& got_source,
                                   const Partitioning& got) {
   EXPECT_EQ(expect.gid, got.gid);
   EXPECT_EQ(expect.groups, got.groups);
@@ -342,8 +346,8 @@ void ExpectIdenticalPartitionings(const Partitioning& expect,
   for (size_t g = 0; g < expect.radius.size(); ++g) {
     EXPECT_EQ(Bits(expect.radius[g]), Bits(got.radius[g])) << "group " << g;
   }
-  const Table& a = expect.representatives;
-  const Table& b = got.representatives;
+  const Table& a = AllRepresentatives(expect_source, expect);
+  const Table& b = AllRepresentatives(got_source, got);
   ASSERT_TRUE(a.schema() == b.schema());
   ASSERT_EQ(a.num_rows(), b.num_rows());
   for (RowId g = 0; g < a.num_rows(); ++g) {
@@ -383,7 +387,7 @@ TEST(PartitionViewsTest, InMemoryDiskAndVersionedViewsAgree) {
   ASSERT_NE(disk, nullptr);
   auto on_disk = PartitionTable(*disk, options);
   ASSERT_TRUE(on_disk.ok()) << on_disk.status();
-  ExpectIdenticalPartitionings(*in_memory, *on_disk);
+  ExpectIdenticalPartitionings(store.table(), *in_memory, *disk, *on_disk);
   EXPECT_LT(Lookups(disk->cache()->stats()),
             static_cast<int64_t>(kRows / 4));
 
@@ -398,7 +402,8 @@ TEST(PartitionViewsTest, InMemoryDiskAndVersionedViewsAgree) {
   ASSERT_TRUE((*versioned)->has_deleted_rows());
   auto on_version = PartitionTable(**versioned, options);
   ASSERT_TRUE(on_version.ok()) << on_version.status();
-  ExpectIdenticalPartitionings(*in_memory, *on_version);
+  ExpectIdenticalPartitionings(store.table(), *in_memory, **versioned,
+                               *on_version);
   EXPECT_LT(Lookups(base->cache()->stats()),
             static_cast<int64_t>(kRows / 4));
   EXPECT_TRUE(disk->ConsumeError().ok());
@@ -425,13 +430,15 @@ TEST(PartitionViewsTest, SmallCacheBuildDoesNotThrash) {
   EXPECT_LT(stats.misses, static_cast<int64_t>(kRows / 8));
   auto in_memory = PartitionTable(store.table(), options);
   ASSERT_TRUE(in_memory.ok()) << in_memory.status();
-  ExpectIdenticalPartitionings(*in_memory, *built);
+  ExpectIdenticalPartitionings(store.table(), *in_memory, *disk, *built);
 }
 
 
 /// FNV-1a over everything the artifact holds: the gid map, every group's
-/// row list, the radius bits and every representative cell.
-uint64_t ArtifactHash(const Partitioning& p) {
+/// row list, the radius bits and every representative cell, with every
+/// representative column filled from `table`.
+uint64_t ArtifactHash(const relation::ColumnSource& table,
+                      const Partitioning& p) {
   uint64_t h = 1469598103934665603ull;
   auto mix = [&h](uint64_t word) {
     for (int b = 0; b < 8; ++b) {
@@ -445,7 +452,7 @@ uint64_t ArtifactHash(const Partitioning& p) {
     for (RowId r : group) mix(r);
   }
   for (double r : p.radius) mix(Bits(r));
-  const Table& reps = p.representatives;
+  const Table& reps = AllRepresentatives(table, p);
   for (RowId g = 0; g < reps.num_rows(); ++g) {
     for (size_t c = 0; c < reps.num_columns(); ++c) {
       if (reps.IsNull(g, c)) {
@@ -460,13 +467,42 @@ uint64_t ArtifactHash(const Partitioning& p) {
   return h;
 }
 
-// The build reads each column of the source once, in contiguous chunks:
-// the partitioning attributes into dense arrays that every level of the
-// quad-tree reuses, the other columns in one pass for the representatives.
-// So a versioned store behind a cache a third the size of its decoded
-// columns decodes each block about once, whether the tree splits on two
-// attributes or on all fourteen. The golden hashes pin the artifact bit
-// for bit to the one the per-group gathering build produced.
+/// A versioned snapshot of `store` behind a fresh cache of `cache_bytes`:
+/// every 37th row from row 3 deleted and 500 copies of earlier rows
+/// appended. `*base` receives the store it wraps.
+std::shared_ptr<const relation::TableVersion> VersionedGalaxy(
+    const GalaxyStore& store, size_t cache_bytes,
+    std::shared_ptr<relation::DiskTable>* base) {
+  *base = store.Open(cache_bytes);
+  if (*base == nullptr) return nullptr;
+  auto wrapped = relation::TableVersion::Wrap(*base);
+  EXPECT_TRUE(wrapped.ok()) << wrapped.status();
+  if (!wrapped.ok()) return nullptr;
+  const size_t rows = store.table().num_rows();
+  relation::TableDelta delta;
+  for (RowId r = 3; r < rows; r += 37) delta.deletes.push_back(r);
+  for (RowId r = 0; r < 500; ++r) {
+    std::vector<Value> row(store.table().num_columns());
+    for (size_t col = 0; col < row.size(); ++col) {
+      row[col] = store.table().GetValue(r * 7, col);
+    }
+    delta.inserts.push_back(std::move(row));
+  }
+  auto versioned = (*wrapped)->Apply(delta);
+  EXPECT_TRUE(versioned.ok()) << versioned.status();
+  return versioned.ok() ? *versioned : nullptr;
+}
+
+// The build reads only the partitioning attributes, each once, in
+// contiguous chunks, into dense arrays that every level of the quad-tree
+// reuses; the centroids the tree computes for its groups are the
+// representatives' attribute columns. So a versioned store behind a cache
+// a third the size of its decoded columns decodes each attribute block
+// about once and no other block: a two-attribute build of the
+// fourteen-column store touches two columns. Filling every other
+// representative column afterwards scans each of those columns once. The
+// golden hashes pin the filled artifact bit for bit to the one the
+// per-group gathering build produced, which computed every column eagerly.
 TEST(PartitionViewsTest, BuildDecodesEachBlockAboutOnce) {
   constexpr size_t kRows = 100000;
   constexpr size_t kCacheBytes = 4u << 20;
@@ -481,31 +517,99 @@ TEST(PartitionViewsTest, BuildDecodesEachBlockAboutOnce) {
                  {AllGalaxyColumns(kRows), 0x7c60e390f3c5b102ull}};
   for (const auto& c : cases) {
     SCOPED_TRACE(c.options.attributes.size());
-    std::shared_ptr<relation::DiskTable> base = store.Open(kCacheBytes);
-    ASSERT_NE(base, nullptr);
-    auto wrapped = relation::TableVersion::Wrap(base);
-    ASSERT_TRUE(wrapped.ok()) << wrapped.status();
-    relation::TableDelta delta;
-    for (RowId r = 3; r < kRows; r += 37) delta.deletes.push_back(r);
-    for (RowId r = 0; r < 500; ++r) {
-      std::vector<Value> row(store.table().num_columns());
-      for (size_t col = 0; col < row.size(); ++col) {
-        row[col] = store.table().GetValue(r * 7, col);
-      }
-      delta.inserts.push_back(std::move(row));
-    }
-    auto versioned = (*wrapped)->Apply(delta);
-    ASSERT_TRUE(versioned.ok()) << versioned.status();
-    auto built = PartitionTable(**versioned, c.options);
+    std::shared_ptr<relation::DiskTable> base;
+    auto versioned = VersionedGalaxy(store, kCacheBytes, &base);
+    ASSERT_NE(versioned, nullptr);
+    auto built = PartitionTable(*versioned, c.options);
     ASSERT_TRUE(built.ok()) << built.status();
     EXPECT_TRUE(base->ConsumeError().ok());
-    // Every Galaxy column is numeric, so the build touches every block.
-    const int64_t distinct =
-        static_cast<int64_t>(base->num_blocks() * base->num_columns());
-    const int64_t slack = static_cast<int64_t>(base->num_columns());
-    EXPECT_LE(base->cache()->stats().misses, distinct + slack);
-    EXPECT_EQ(ArtifactHash(*built), c.golden)
-        << std::hex << "0x" << ArtifactHash(*built);
+    const int64_t blocks = static_cast<int64_t>(base->num_blocks());
+    const int64_t attrs = static_cast<int64_t>(c.options.attributes.size());
+    const int64_t columns = static_cast<int64_t>(base->num_columns());
+    EXPECT_LE(base->cache()->stats().misses, attrs * blocks + attrs);
+    EXPECT_LE(built->build_block_reads, attrs * blocks + attrs);
+    EXPECT_EQ(built->filled_representative_columns().size(),
+              static_cast<size_t>(attrs));
+
+    RepresentativeFill fill;
+    built->Representatives(*versioned, NumericColumns(*versioned), &fill);
+    EXPECT_EQ(fill.columns, static_cast<size_t>(columns - attrs));
+    EXPECT_LE(fill.block_reads, (columns - attrs) * blocks);
+    EXPECT_LE(base->cache()->stats().misses, columns * blocks + columns);
+    EXPECT_EQ(ArtifactHash(*versioned, *built), c.golden)
+        << std::hex << "0x" << ArtifactHash(*versioned, *built);
+  }
+}
+
+// A SKETCHREFINE query fills the representative columns it reads the first
+// time it runs: a query that aggregates a third column over a two-attribute
+// partitioning decodes that column's blocks once, before it solves; a
+// second run finds the column filled and decodes nothing for it.
+TEST(PartitionViewsTest, QueryFillsItsColumnOnce) {
+  constexpr size_t kRows = 100000;
+  constexpr size_t kCacheBytes = 4u << 20;
+  GalaxyStore store(kRows, "paql_partition_lazy.pqb");
+  std::shared_ptr<relation::DiskTable> base;
+  auto versioned = VersionedGalaxy(store, kCacheBytes, &base);
+  ASSERT_NE(versioned, nullptr);
+  PartitionOptions options;
+  options.attributes = {"objid", "petroFlux_r"};
+  options.size_threshold = kRows / 10;
+  auto p = PartitionTable(*versioned, options);
+  ASSERT_TRUE(p.ok()) << p.status();
+  const size_t redshift = *versioned->schema().FindColumn("redshift");
+  EXPECT_FALSE(p->representatives.filled(redshift));
+
+  auto ast = lang::ParsePackageQuery(
+      "SELECT PACKAGE(G) AS P FROM Galaxy G REPEAT 0 "
+      "SUCH THAT COUNT(P.*) = 4 MINIMIZE SUM(P.redshift)");
+  ASSERT_TRUE(ast.ok()) << ast.status();
+  core::SketchRefineOptions sr;
+  sr.threads = 1;
+  core::SketchRefineEvaluator evaluator(*versioned, *p, sr);
+  auto first = evaluator.Evaluate(*ast);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->stats.representative_columns_filled, 1);
+  EXPECT_EQ(first->stats.representative_block_reads,
+            static_cast<int64_t>(base->num_blocks()));
+  EXPECT_TRUE(p->representatives.filled(redshift));
+  EXPECT_EQ(p->filled_representative_columns().size(), 3u);
+
+  auto second = evaluator.Evaluate(*ast);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(second->stats.representative_columns_filled, 0);
+  EXPECT_EQ(second->stats.representative_block_reads, 0);
+  EXPECT_EQ(second->package.rows, first->package.rows);
+  EXPECT_EQ(Bits(second->objective), Bits(first->objective));
+  EXPECT_TRUE(base->ConsumeError().ok());
+}
+
+// Representatives derived from an artifact keep the columns it had filled,
+// and a column first filled later equals one gathered group by group.
+TEST(ShrinkTest, KeepsFilledColumnsAndFillsOthersLater) {
+  const Table t = workload::MakeGalaxyTable(20000);
+  PartitionOptions options;
+  options.attributes = {"petroRad_r", "g"};
+  options.size_threshold = 2000;
+  auto p = PartitionTable(t, options);
+  ASSERT_TRUE(p.ok()) << p.status();
+  const size_t u = *t.schema().FindColumn("u");
+  const size_t z = *t.schema().FindColumn("z");
+  p->Representatives(t, {u});
+  std::vector<RowId> subset;
+  for (RowId r = 0; r < t.num_rows(); r += 3) subset.push_back(r);
+  auto shrunk = ShrinkToSubset(t, *p, subset);
+  ASSERT_TRUE(shrunk.ok()) << shrunk.status();
+  EXPECT_TRUE(shrunk->representatives.filled(u));
+  EXPECT_FALSE(shrunk->representatives.filled(z));
+  const Table sub = relation::MaterializeRows(t, subset);
+  const Table& reps = shrunk->Representatives(sub, {z});
+  for (size_t g = 0; g < shrunk->num_groups(); ++g) {
+    for (size_t col : {u, z}) {
+      EXPECT_EQ(Bits(reps.GetDouble(static_cast<RowId>(g), col)),
+                Bits(relation::GatherMean(sub, col, shrunk->groups[g])))
+          << "group " << g << " column " << col;
+    }
   }
 }
 

@@ -54,11 +54,13 @@ inline void CheckPartitioningInvariants(const relation::Table& table,
     }
   }
   for (RowId r = 0; r < table.num_rows(); ++r) EXPECT_EQ(seen[r], 1);
-  ASSERT_EQ(p.representatives.num_rows(), p.num_groups());
-  size_t gid_col = p.representatives.num_columns() - 1;
-  EXPECT_EQ(p.representatives.schema().column(gid_col).name, "gid");
+  // The attribute columns are filled when the artifact is made.
+  const relation::Table& reps = p.Representatives(table, {});
+  ASSERT_EQ(reps.num_rows(), p.num_groups());
+  size_t gid_col = reps.num_columns() - 1;
+  EXPECT_EQ(reps.schema().column(gid_col).name, "gid");
   for (size_t g = 0; g < p.num_groups(); ++g) {
-    EXPECT_EQ(p.representatives.GetInt64(static_cast<RowId>(g), gid_col),
+    EXPECT_EQ(reps.GetInt64(static_cast<RowId>(g), gid_col),
               static_cast<int64_t>(g));
   }
   for (size_t g = 0; g < p.num_groups(); ++g) {
@@ -71,10 +73,10 @@ inline void CheckPartitioningInvariants(const relation::Table& table,
       double sum = 0;
       for (RowId r : p.groups[g]) sum += table.GetDouble(r, *col);
       double mean = sum / static_cast<double>(p.groups[g].size());
-      auto rep_col = p.representatives.schema().FindColumn(p.attributes[k]);
+      auto rep_col = reps.schema().FindColumn(p.attributes[k]);
       ASSERT_TRUE(rep_col.has_value());
-      EXPECT_NEAR(p.representatives.GetDouble(static_cast<RowId>(g), *rep_col),
-                  mean, 1e-9);
+      EXPECT_NEAR(reps.GetDouble(static_cast<RowId>(g), *rep_col), mean,
+                  1e-9);
       double radius = 0;
       for (RowId r : p.groups[g]) {
         radius =

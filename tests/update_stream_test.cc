@@ -168,7 +168,7 @@ TEST(UpdateStreamSweepTest, IncrementalMatchesFullAcross200RandomBatches) {
           ASSERT_EQ(hits[r], 1) << "live row " << r;
         }
       }
-      ASSERT_EQ(ap.representatives.num_rows(), ap.groups.size());
+      ASSERT_EQ(ap.Representatives(*v1, {}).num_rows(), ap.groups.size());
     }
 
     auto incremental =
