@@ -2,10 +2,10 @@
 // replaces the paper's black-box CPLEX).
 //
 // DESIGN.md calls out the solver design choices this repo made in place of
-// CPLEX: branching rule, the root rounding heuristic, and the diving
-// heuristic. This bench quantifies each choice on the Galaxy workload by
-// comparing nodes explored, LP pivots, and wall time across
-// configurations. The workload's hard queries (tight two-sided windows)
+// CPLEX: the root rounding heuristic, the diving heuristic and the root
+// cutting planes. This bench quantifies each choice on the Galaxy workload
+// by comparing nodes explored, LP pivots, and wall time across
+// configurations. Every configuration branches most-fractional. The workload's hard queries (tight two-sided windows)
 // are where the choices matter; easy queries solve at the root under any
 // configuration.
 #include "bench/bench_common.h"
@@ -35,17 +35,9 @@ int Run(int argc, char** argv) {
   std::vector<Config> configs;
   {
     Config base;
-    base.name = "default (most-fractional + heuristics)";
+    base.name = "default (heuristics + cuts)";
     base.options.gap_tol = kCplexDefaultGap;
     configs.push_back(base);
-    Config pseudo = base;
-    pseudo.name = "pseudo-cost branching";
-    pseudo.options.branch_rule = ilp::BranchRule::kPseudoCost;
-    configs.push_back(pseudo);
-    Config first = base;
-    first.name = "first-fractional branching";
-    first.options.branch_rule = ilp::BranchRule::kFirstFractional;
-    configs.push_back(first);
     Config no_dive = base;
     no_dive.name = "no diving heuristic";
     no_dive.options.enable_diving_heuristic = false;
@@ -101,11 +93,9 @@ int Run(int argc, char** argv) {
   tp.Print(std::cout);
   std::cout << "\nExpected shape: the heuristics prune by supplying early\n"
                "incumbents (removing either inflates nodes on hard\n"
-               "queries); pseudo-cost branching pays off as node counts\n"
-               "grow; first-fractional is the weakest rule; root cuts\n"
-               "(cover + 1/2-CG) trim nodes on budget-constrained queries\n"
-               "at a small root-LP cost. All configurations that finish\n"
-               "agree on the objective.\n";
+               "queries); root cuts (cover + 1/2-CG) trim nodes on\n"
+               "budget-constrained queries at a small root-LP cost. All\n"
+               "configurations that finish agree on the objective.\n";
   return 0;
 }
 

@@ -73,10 +73,11 @@ Result<EvalResult> DirectEvaluator::SolveCandidates(
 
   // Step 3 (paper): ILP execution by the black-box solver. The optional
   // warm carrier seeds the root LP from the previous identical
-  // statement's basis (cross-query cache) and collects this solve's.
+  // statement's basis (cross-query cache) and collects this solve's; the
+  // solver ignores it when warm starting is off.
   auto solution =
       ilp::SolveIlp(model, options_.limits, options_.EffectiveBranchAndBound(),
-                    options_.warm_start ? options_.warm_basis : nullptr);
+                    options_.warm_basis);
   if (!solution.ok()) {
     return solution.status();
   }

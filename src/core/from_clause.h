@@ -19,7 +19,7 @@
 //      package-qualified references must be unambiguous across inputs.
 //
 // The rewritten query is single-relation, so every evaluator (DIRECT,
-// SKETCHREFINE, parallel, LP rounding, top-k) runs on it unchanged — this
+// SKETCHREFINE, ratio objective, top-k) runs on it unchanged — this
 // mirrors the paper's construction of the pre-joined TPC-H table.
 #ifndef PAQL_CORE_FROM_CLAUSE_H_
 #define PAQL_CORE_FROM_CLAUSE_H_

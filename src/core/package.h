@@ -53,7 +53,7 @@ struct EvalStats {
   int64_t bnb_nodes = 0;         // total branch-and-bound nodes
   size_t peak_memory_bytes = 0;  // per the SolverLimits accounting model
   /// Node LPs re-optimized from a warm basis with the dual simplex (zero
-  /// when ExecContext::warm_start is off).
+  /// when BranchAndBoundOptions::warm_start is off).
   int64_t warm_lp_solves = 0;
   /// Simplex pivots priced straight off the partial-pricing candidate list
   /// (zero when SimplexOptions::partial_pricing is off).

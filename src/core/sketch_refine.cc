@@ -153,7 +153,8 @@ class Driver {
                                           const std::vector<double>& offsets,
                                           SubCache* cache) {
     const std::vector<RowId>& rows = members_[g];
-    if (options_.warm_start && cache->built && query_.CanUpdateOffsets()) {
+    if (options_.branch_and_bound.warm_start && cache->built &&
+        query_.CanUpdateOffsets()) {
       PAQL_RETURN_IF_ERROR(query_.UpdateModelOffsets(offsets, &cache->model));
       ++stats_.warm_model_reuses;
     } else {
@@ -168,9 +169,9 @@ class Driver {
                                 {seg}, &offsets, options_.EffectiveThreads()));
       cache->built = true;
     }
-    PAQL_ASSIGN_OR_RETURN(
-        ilp::IlpSolution sol,
-        SolveModel(cache->model, options_.warm_start ? &cache->warm : nullptr));
+    // The solver consults the carried basis only when warm starting is on.
+    PAQL_ASSIGN_OR_RETURN(ilp::IlpSolution sol,
+                          SolveModel(cache->model, &cache->warm));
     return RoundMults(sol.x, rows.size());
   }
 

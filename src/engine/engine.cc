@@ -10,7 +10,6 @@
 #include "core/direct.h"
 #include "core/explain.h"
 #include "core/incremental.h"
-#include "core/lp_rounding.h"
 #include "core/ratio_objective.h"
 #include "core/sketch_refine.h"
 #include "core/topk.h"
@@ -100,8 +99,6 @@ Result<core::EvalResult> EvaluatePlan(
       return core::SketchRefineEvaluator(table, *partitioning, options)
           .Evaluate(query.ilp);
     }
-    case Strategy::kLpRounding:
-      return core::LpRoundingEvaluator(table, exec).Evaluate(query.ilp);
     case Strategy::kRatioObjective:
       // The Dinkelbach evaluator re-derives its parametric objective from
       // the AST; the constraints-only `ilp` artifact is not what it solves.
@@ -435,7 +432,7 @@ Plan Session::DecidePlan(const relation::ColumnSource& table,
   }
   // Every entry point reports the ExecContext it runs under; a cached plan
   // may come from a session with other settings sharing the cache.
-  plan.warm_start = options_.exec.warm_start;
+  plan.warm_start = options_.exec.branch_and_bound.warm_start;
   plan.exec_threads = options_.exec.EffectiveThreads();
   return plan;
 }
@@ -487,7 +484,7 @@ Result<QueryResult> Session::Execute(std::string_view paql) {
   ExecContext exec = options_.exec;
   ilp::IlpWarmStart warm_local;
   warm_local.chain = false;
-  if (exec.warm_start && cached.has_value() &&
+  if (exec.branch_and_bound.warm_start && cached.has_value() &&
       cached->warm_basis.has_value()) {
     warm_local.root_basis = *cached->warm_basis;
     out.plan.warm_cached = true;

@@ -13,8 +13,7 @@
 // not the caller, chooses between exact DIRECT and scalable SKETCHREFINE
 // (building or reusing a partitioning as needed). Each plan maps onto one
 // call of a core/ evaluator (DirectEvaluator, SketchRefineEvaluator,
-// LpRoundingEvaluator, RatioObjectiveEvaluator) under the session's
-// ExecContext; those classes remain available for specialized callers.
+// RatioObjectiveEvaluator) under the session's ExecContext; those classes remain available for specialized callers.
 #ifndef PAQL_ENGINE_ENGINE_H_
 #define PAQL_ENGINE_ENGINE_H_
 

@@ -1,8 +1,8 @@
 // ExecContext: the execution settings shared by every evaluation strategy.
 //
 // Solver budgets, branch-and-bound settings, the seed, cancellation and
-// the worker count live here once. DIRECT, LP rounding and the ratio
-// objective evaluator take an ExecContext as is; the options structs that
+// the worker count live here once. DIRECT and the ratio objective
+// evaluator take an ExecContext as is; the options structs that
 // remain in core/ (SKETCHREFINE, top-k) derive from it and add only their
 // strategy-specific knobs.
 //
@@ -41,12 +41,19 @@ struct PhaseTimings {
 struct ExecContext {
   /// Solver budgets. The node and memory caps apply to each ILP solve the
   /// strategy performs. The time limit bounds DIRECT's single solve and a
-  /// whole SKETCHREFINE run (each sketch, refine and hybrid solve gets only
-  /// what remains of it); the Dinkelbach iterations, the LP-rounding repair
-  /// ILP and each top-k enumeration step still get it afresh per solve.
+  /// whole run of the strategies that solve several ILPs: a SKETCHREFINE
+  /// run, a Dinkelbach run and a top-k enumeration each start one deadline
+  /// at their first solve, and every later solve gets only what remains of
+  /// it (ilp::RemainingLimits).
   ilp::SolverLimits limits;
 
-  /// Branch-and-bound settings for those solves.
+  /// Branch-and-bound settings for those solves. Its `warm_start` is the
+  /// one warm-start switch: it warm-starts every node LP from its parent's
+  /// basis, lets DIRECT use `warm_basis`, and lets the SKETCHREFINE refine
+  /// loop patch row bounds of a cached model
+  /// (CompiledQuery::UpdateModelOffsets) instead of rebuilding it. Results
+  /// are identical either way (the differential warm-vs-cold sweep enforces
+  /// it).
   ilp::BranchAndBoundOptions branch_and_bound;
 
   /// Optional cooperative-cancellation flag, polled between (sub)problem
@@ -59,22 +66,12 @@ struct ExecContext {
   /// the cross-query cache: the solve restores the previous identical
   /// statement's root basis and deposits its own on the way out. Not
   /// owned; may be null (every solve then starts from scratch as before).
-  /// Only consulted when `warm_start` is on.
+  /// Only consulted when `branch_and_bound.warm_start` is on.
   ilp::IlpWarmStart* warm_basis = nullptr;
 
   /// Seed for any randomized choice a strategy makes (SKETCHREFINE's
   /// hybrid-sketch group order and initial refinement order).
   uint64_t seed = 42;
-
-  /// Warm-start the LP solver across branch-and-bound nodes and across
-  /// consecutive subproblem solves that share a column set: each node LP
-  /// re-optimizes from its parent's basis with the dual simplex, and the
-  /// SKETCHREFINE refine loop patches row bounds of a cached model
-  /// (CompiledQuery::UpdateModelOffsets) instead of rebuilding it. Results
-  /// are identical either way (the differential warm-vs-cold sweep enforces
-  /// it). Overrides BranchAndBoundOptions::warm_start wherever a strategy
-  /// passes EffectiveBranchAndBound() to the solver.
-  bool warm_start = true;
 
   /// Worker threads for intra-query parallelism: the morsel-driven chunk
   /// pipeline (parallel scans, coefficient fills, per-group partitioning
@@ -91,13 +88,12 @@ struct ExecContext {
   /// hardware concurrency.
   int EffectiveThreads() const { return ClampThreads(threads); }
 
-  /// Branch-and-bound options with the context-level warm_start and
-  /// threads knobs applied — what every strategy hands to ilp::SolveIlp.
-  /// The solver settings themselves (partial pricing, dual steepest edge,
-  /// presolve, reduced-cost fixing) come from `branch_and_bound` as is.
+  /// Branch-and-bound options with the context-level threads knob applied
+  /// — what every strategy hands to ilp::SolveIlp. Every other solver
+  /// setting (warm start, partial pricing, dual steepest edge, presolve,
+  /// reduced-cost fixing) comes from `branch_and_bound` as is.
   ilp::BranchAndBoundOptions EffectiveBranchAndBound() const {
     ilp::BranchAndBoundOptions bnb = branch_and_bound;
-    bnb.warm_start = warm_start;
     bnb.threads = EffectiveThreads();
     return bnb;
   }

@@ -13,7 +13,6 @@ const char* StrategyName(Strategy strategy) {
     case Strategy::kAuto: return "AUTO";
     case Strategy::kDirect: return "DIRECT";
     case Strategy::kSketchRefine: return "SKETCHREFINE";
-    case Strategy::kLpRounding: return "LP_ROUNDING";
     case Strategy::kRatioObjective: return "RATIO_OBJECTIVE";
   }
   return "?";

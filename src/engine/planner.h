@@ -27,7 +27,6 @@ enum class Strategy {
   kAuto,                   // let the planner decide (PlannerOptions only)
   kDirect,                 // exact ILP over the full base relation (§3.2)
   kSketchRefine,           // sketch + refine over a partitioning (§4)
-  kLpRounding,             // LP relaxation + rounding baseline (§6)
   kRatioObjective,         // Dinkelbach for AVG objectives
 };
 
@@ -70,7 +69,7 @@ struct Plan {
 
   /// Whether LP solves warm-start (dual-simplex re-optimization from the
   /// parent/previous basis, cached refine models). Filled by the session
-  /// from ExecContext::warm_start.
+  /// from the ExecContext's BranchAndBoundOptions::warm_start.
   bool warm_start = true;
 
   /// Effective degree of parallelism: the resolved ExecContext::threads

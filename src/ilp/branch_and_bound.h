@@ -1,9 +1,9 @@
 // Branch-and-bound ILP solver over the simplex LP relaxation.
 //
 // This is the from-scratch replacement for the paper's black-box ILP solver
-// (CPLEX). Search is depth-first with best-first child ordering, incumbent
-// pruning, a root rounding heuristic, and a diving heuristic; all LP solves
-// warm-start from the parent basis through SimplexSolver::SetVarBounds.
+// (CPLEX). Search is depth-first with most-fractional branching, nearest
+// child first, incumbent pruning, a root rounding heuristic, and a diving
+// heuristic; every node LP warm-starts from its parent's basis.
 #ifndef PAQL_ILP_BRANCH_AND_BOUND_H_
 #define PAQL_ILP_BRANCH_AND_BOUND_H_
 
@@ -53,10 +53,31 @@ struct IlpStats {
   /// the search started (zero when presolve is off or found nothing).
   int64_t presolve_fixed_vars = 0;
   int64_t presolve_dropped_rows = 0;
-  /// Nodes explored by the concurrent (threads > 1) search; zero when the
-  /// serial depth-first search ran — the observable that says whether the
-  /// shared-deque machinery actually engaged.
+  /// Nodes explored by a search that ran on more than one worker; zero
+  /// when one worker searched — the observable that says whether the
+  /// workers actually shared the tree.
   int64_t parallel_nodes = 0;
+
+  /// Adds one LP solve's simplex counters: pivots, pricing-candidate hits,
+  /// bound flips, DSE pivots and, when it re-optimized from a warm basis,
+  /// one warm solve.
+  void AddLp(const lp::LpResult& lp) {
+    lp_iterations += lp.iterations;
+    pricing_candidate_hits += lp.pricing_candidate_hits;
+    bound_flips += lp.bound_flips;
+    dse_pivots += lp.dse_pivots;
+    if (lp.used_dual) ++warm_lp_solves;
+  }
+
+  /// Adds the simplex counters (the five AddLp fills) of another
+  /// accumulator.
+  void AddLpCounters(const IlpStats& other) {
+    lp_iterations += other.lp_iterations;
+    pricing_candidate_hits += other.pricing_candidate_hits;
+    bound_flips += other.bound_flips;
+    dse_pivots += other.dse_pivots;
+    warm_lp_solves += other.warm_lp_solves;
+  }
 };
 
 /// A feasible (and, when stats.proven_optimal, optimal) integer solution.
@@ -66,21 +87,6 @@ struct IlpSolution {
   IlpStats stats;
 };
 
-/// Which fractional variable a node branches on.
-enum class BranchRule {
-  /// Most-fractional ("maximum infeasibility"): the classic default.
-  kMostFractional,
-  /// First fractional index: the cheapest rule, a lower-bound baseline for
-  /// the branching ablation (bench/ablation_solver).
-  kFirstFractional,
-  /// Pseudo-cost branching: score variables by the per-unit objective
-  /// degradation their past branchings caused (product of up/down pseudo
-  /// costs), falling back to most-fractional until a variable has history.
-  kPseudoCost,
-};
-
-const char* BranchRuleName(BranchRule rule);
-
 struct BranchAndBoundOptions {
   double integrality_tol = 1e-6;
   /// Relative optimality gap at which search stops early.
@@ -88,7 +94,6 @@ struct BranchAndBoundOptions {
   bool enable_rounding_heuristic = true;
   bool enable_diving_heuristic = true;
   int dive_max_depth = 64;
-  BranchRule branch_rule = BranchRule::kMostFractional;
   /// Warm-start every node LP from its parent's basis (dual-simplex
   /// re-optimization after the one-variable bound change) and accept a
   /// caller-provided root basis via IlpWarmStart. false = every node LP is
@@ -111,17 +116,17 @@ struct BranchAndBoundOptions {
   /// optimum; they tighten the relaxation before the search starts.
   CutOptions cuts;
   /// Worker threads for the branch-and-bound search (0 = hardware
-  /// concurrency). 1 runs the exact serial depth-first search of earlier
-  /// releases. > 1 searches a shared work deque of frames concurrently:
-  /// the root (solve, rounding, dive, reduced-cost fixing) runs serially,
-  /// then per-worker simplex solvers evaluate frames against an atomic
-  /// shared incumbent, each re-optimizing from its frame's parent basis
-  /// (the PR-3 warm start) when warm_start is on. Parallel search engages
-  /// only past a model-size floor (tiny trees cost more to share than to
-  /// solve) and for deterministic branch rules; pseudo-cost branching
-  /// keeps its serial history and falls back to one worker. The optimum
-  /// found is the same; only which equally-optimal solution is returned
-  /// may differ with the interleaving.
+  /// concurrency). There is one search: the root (solve, rounding, dive,
+  /// reduced-cost fixing) runs on the calling thread, then workers drain a
+  /// shared deque of frames depth-first, each with its own simplex solver,
+  /// re-optimizing from its frame's parent basis when warm_start is on and
+  /// pruning against a shared incumbent. One worker drains the deque on
+  /// the calling thread with the root solver (no pool, no extra thread).
+  /// More workers engage only past a model-size floor of 64 integer
+  /// columns (tiny trees cost more to share than to solve); no option
+  /// falls back to a separate serial search. The optimum found is the
+  /// same at any worker count; only which equally-optimal solution is
+  /// returned may differ with the interleaving.
   int threads = 1;
 };
 

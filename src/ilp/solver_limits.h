@@ -39,15 +39,6 @@ struct SolverLimits {
 
   static constexpr size_t kBytesPerOpenNode = 1024;
 
-  /// The configuration the paper uses for CPLEX (512MB working memory,
-  /// one-hour limit), scaled to this repo's dataset sizes.
-  static SolverLimits PaperDefaults() {
-    SolverLimits limits;
-    limits.time_limit_s = 3600;
-    limits.memory_budget_bytes = 512ull << 20;
-    return limits;
-  }
-
   static SolverLimits Unlimited() { return SolverLimits{}; }
 };
 

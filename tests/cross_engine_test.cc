@@ -5,7 +5,6 @@
 //   * every returned package validates against the compiled query;
 //   * DIRECT is optimal, so no engine beats it (within tolerance);
 //   * top-1 enumeration equals DIRECT;
-//   * LP rounding is bounded by the LP relaxation;
 //   * SKETCHREFINE (plain and robust) is feasible and within a loose
 //     factor of DIRECT on these benign instances;
 //   * infeasible instances are reported as infeasible by every engine.
@@ -14,7 +13,6 @@
 #include "common/rng.h"
 #include "common/str_util.h"
 #include "core/direct.h"
-#include "core/lp_rounding.h"
 #include "core/remedies.h"
 #include "core/sketch_refine.h"
 #include "core/topk.h"
@@ -90,15 +88,6 @@ TEST_P(CrossEngineTest, AllEnginesAgreeOnTheRelationships) {
   ASSERT_TRUE(top.ok()) << top.status();
   EXPECT_NEAR(top->front().objective, opt, 1e-6 * (1 + std::abs(opt)));
 
-  // LP rounding: feasible, sandwiched by DIRECT and the LP bound.
-  LpRoundingEvaluator lp_eval(t);
-  LpRoundingInfo info;
-  auto lp = lp_eval.EvaluateWithInfo(cq, &info);
-  ASSERT_TRUE(lp.ok()) << lp.status();
-  EXPECT_TRUE(ValidatePackage(cq, t, lp->package).ok());
-  EXPECT_LE(lp->objective, opt + 1e-6);
-  EXPECT_GE(info.lp_objective, opt - 1e-6);
-
   // Sequential SKETCHREFINE.
   SketchRefineEvaluator sr(t, inst.partitioning);
   auto sketch = sr.Evaluate(cq);
@@ -131,10 +120,6 @@ TEST_P(CrossEngineTest, InfeasibleInstancesAreInfeasibleEverywhere) {
   auto sketch = SketchRefineEvaluator(t, inst.partitioning).Evaluate(*cq);
   ASSERT_FALSE(sketch.ok());
   EXPECT_TRUE(sketch.status().IsInfeasible());
-
-  auto lp = LpRoundingEvaluator(t).Evaluate(*cq);
-  ASSERT_FALSE(lp.ok());
-  EXPECT_TRUE(lp.status().IsInfeasible());
 
   auto top = EnumerateTopPackages(t, *cq);
   ASSERT_FALSE(top.ok());

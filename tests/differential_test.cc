@@ -11,10 +11,10 @@
 //       exhaustive self-join enumeration must agree on feasibility and on
 //       the optimal objective value.
 //
-//   (c) warm vs cold solver — with ExecContext::warm_start on and off, the
-//       DIRECT, SKETCHREFINE, and top-k paths must agree on feasibility and
-//       objective value: the dual-simplex warm start is an accelerator, not
-//       a different algorithm.
+//   (c) warm vs cold solver — with BranchAndBoundOptions::warm_start on and
+//       off, the DIRECT, SKETCHREFINE, and top-k paths must agree on
+//       feasibility and objective value: the dual-simplex warm start is an
+//       accelerator, not a different algorithm.
 //
 // Every case runs under a SCOPED_TRACE carrying the reproducing seed and
 // the generated query text, so a failure prints everything needed to
@@ -539,7 +539,7 @@ TEST(DifferentialTest, WarmMatchesColdOn200RandomQueries) {
     switch (arm) {
       case kDirect: {
         ExecContext warm_opts, cold_opts;
-        cold_opts.warm_start = false;
+        cold_opts.branch_and_bound.warm_start = false;
         auto warm = DirectEvaluator(table, warm_opts).Evaluate(*cq);
         auto cold = DirectEvaluator(table, cold_opts).Evaluate(*cq);
         ExpectSameOutcome(*cq, table, warm, cold, &feasible, &infeasible);
@@ -553,7 +553,7 @@ TEST(DifferentialTest, WarmMatchesColdOn200RandomQueries) {
         auto partitioning = partition::PartitionTable(table, popts);
         ASSERT_TRUE(partitioning.ok()) << partitioning.status();
         core::SketchRefineOptions warm_opts, cold_opts;
-        cold_opts.warm_start = false;
+        cold_opts.branch_and_bound.warm_start = false;
         auto warm = core::SketchRefineEvaluator(table, *partitioning,
                                                 warm_opts)
                         .Evaluate(*cq);
@@ -566,7 +566,7 @@ TEST(DifferentialTest, WarmMatchesColdOn200RandomQueries) {
       }
       case kRatio: {
         ExecContext warm_opts, cold_opts;
-        cold_opts.warm_start = false;
+        cold_opts.branch_and_bound.warm_start = false;
         auto warm =
             core::RatioObjectiveEvaluator(table, warm_opts).Evaluate(query);
         auto cold =
@@ -578,7 +578,7 @@ TEST(DifferentialTest, WarmMatchesColdOn200RandomQueries) {
       case kTopK: {
         core::TopKOptions warm_opts, cold_opts;
         warm_opts.k = cold_opts.k = 3;
-        cold_opts.warm_start = false;
+        cold_opts.branch_and_bound.warm_start = false;
         auto warm = core::EnumerateTopPackages(table, *cq, warm_opts);
         auto cold = core::EnumerateTopPackages(table, *cq, cold_opts);
         if (!cold.ok()) {
@@ -652,7 +652,7 @@ TEST(DifferentialTest, WarmMatchesColdOnABacktrackingSketchRefine) {
   ASSERT_TRUE(partitioning.ok()) << partitioning.status();
 
   core::SketchRefineOptions warm_opts, cold_opts;
-  cold_opts.warm_start = false;
+  cold_opts.branch_and_bound.warm_start = false;
   auto warm = core::SketchRefineEvaluator(table, *partitioning, warm_opts)
                   .Evaluate(*cq);
   auto cold = core::SketchRefineEvaluator(table, *partitioning, cold_opts)

@@ -153,8 +153,7 @@ TEST(EngineTest, EveryPlannableStrategyReturnsAValidPackage) {
   auto session = Engine::Open(MakeRecipes(290), "Recipes", options);
   ASSERT_TRUE(session.ok()) << session.status();
   for (engine::Strategy strategy :
-       {engine::Strategy::kDirect, engine::Strategy::kSketchRefine,
-        engine::Strategy::kLpRounding}) {
+       {engine::Strategy::kDirect, engine::Strategy::kSketchRefine}) {
     SCOPED_TRACE(engine::StrategyName(strategy));
     session->options().planner.force = strategy;
     auto result = session->Execute(kExample1);

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <random>
 
+#include "common/rng.h"
 #include "ilp/branch_and_bound.h"
 
 namespace paql::ilp {
@@ -402,6 +403,85 @@ TEST(IlpReducedCostFixingTest, FixingNeverChangesTheOptimumOnRandomIlps) {
     EXPECT_EQ(slow->stats.rc_fixed_vars, 0);
     EXPECT_EQ(slow->stats.presolve_fixed_vars, 0);
     EXPECT_EQ(slow->stats.pricing_candidate_hits, 0);
+  }
+}
+
+/// Random bounded knapsack-ish ILP: maximize c'x s.t. one or two packing
+/// rows, x integer in [0, 3].
+Model RandomPackingIlp(uint64_t seed, int n) {
+  Rng rng(seed);
+  Model m;
+  m.set_sense(Sense::kMaximize);
+  for (int j = 0; j < n; ++j) {
+    m.AddVariable(0, 3, rng.Uniform(1, 10), true);
+  }
+  int rows = rng.Bernoulli(0.5) ? 1 : 2;
+  for (int r = 0; r < rows; ++r) {
+    RowDef row;
+    for (int j = 0; j < n; ++j) {
+      row.vars.push_back(j);
+      row.coefs.push_back(rng.Uniform(1, 5));
+    }
+    row.hi = rng.Uniform(5, 20);
+    row.name = "pack";
+    PAQL_CHECK(m.AddRow(std::move(row)).ok());
+  }
+  return m;
+}
+
+class IlpHeuristicsAgreementTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(IlpHeuristicsAgreementTest, SameOptimumWithoutHeuristics) {
+  // The rounding and diving heuristics only supply early incumbents; the
+  // search without them must prove the same optimum.
+  Model m = RandomPackingIlp(GetParam(), 12);
+  auto with = SolveIlp(m);
+  ASSERT_TRUE(with.ok()) << with.status();
+  EXPECT_TRUE(m.IsFeasible(with->x));
+  BranchAndBoundOptions bare;
+  bare.enable_diving_heuristic = false;
+  bare.enable_rounding_heuristic = false;
+  auto without = SolveIlp(m, {}, bare);
+  ASSERT_TRUE(without.ok()) << without.status();
+  EXPECT_TRUE(m.IsFeasible(without->x));
+  EXPECT_NEAR(without->objective, with->objective,
+              1e-6 * (1 + std::abs(with->objective)));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IlpHeuristicsAgreementTest,
+                         ::testing::Range<uint64_t>(1, 26));
+
+TEST(IlpSearchTest, RootDiveIncumbentThatClosesTheGapEndsTheSearch) {
+  // A 0/1 knapsack with at least 64 columns (so four workers engage)
+  // whose root LP is fractional, whose rounded root point is infeasible,
+  // and whose root dive finds an incumbent within the 1% gap of the root
+  // bound. Both root children are then pruned when popped, so the root is
+  // the only node explored at any worker count.
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<int> value(1, 3), weight(1, 4);
+  const int n = 64 + static_cast<int>(rng() % 32);
+  Model m;
+  m.set_sense(Sense::kMaximize);
+  RowDef cap;
+  for (int j = 0; j < n; ++j) {
+    m.AddVariable(0, 1, value(rng), true);
+    cap.vars.push_back(j);
+    cap.coefs.push_back(weight(rng));
+  }
+  cap.lo = -kInf;
+  cap.hi = n / 2 + 0.5;
+  ASSERT_TRUE(m.AddRow(std::move(cap)).ok());
+  ASSERT_GE(m.num_integer_vars(), 64);
+  for (int threads : {1, 4}) {
+    BranchAndBoundOptions options;
+    options.gap_tol = 1e-2;
+    options.threads = threads;
+    auto r = SolveIlp(m, {}, options);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->stats.nodes, 1) << threads << " workers";
+    EXPECT_EQ(r->stats.parallel_nodes, threads > 1 ? 1 : 0);
+    EXPECT_NEAR(r->objective, 63.0, 1e-9);
+    EXPECT_TRUE(m.IsFeasible(r->x));
   }
 }
 

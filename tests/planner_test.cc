@@ -126,10 +126,6 @@ TEST(PlannerTest, ExplicitOverrideWinsOverSizeHeuristic) {
   Table small = MakeTable(5);
   EXPECT_EQ(Planner(options).Decide(small, QueryShape{}).strategy,
             Strategy::kSketchRefine);
-
-  options.force = Strategy::kLpRounding;
-  EXPECT_EQ(Planner(options).Decide(big, QueryShape{}).strategy,
-            Strategy::kLpRounding);
 }
 
 TEST(PlannerTest, TopKIsDirectBased) {
@@ -185,7 +181,6 @@ TEST(PlannerTest, ExplainReportsChoiceAndThresholds) {
 TEST(PlannerTest, StrategyNames) {
   EXPECT_STREQ(StrategyName(Strategy::kDirect), "DIRECT");
   EXPECT_STREQ(StrategyName(Strategy::kSketchRefine), "SKETCHREFINE");
-  EXPECT_STREQ(StrategyName(Strategy::kLpRounding), "LP_ROUNDING");
   EXPECT_STREQ(StrategyName(Strategy::kRatioObjective), "RATIO_OBJECTIVE");
 }
 
